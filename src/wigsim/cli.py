@@ -242,6 +242,13 @@ def _make_params(system: str, b0: float, ns) -> SystemParams:
     return SystemParams(kind=SystemKind.GQW_FIELD, b0=b0, omega0=omega0, g=g, **common)
 
 
+def _initial_point(ns) -> PhasePoint:
+    c0 = PhasePoint(ns.x0, ns.y0, ns.px0, ns.py0)
+    if not all(math.isfinite(v) for v in c0):
+        raise ValueError("initial point --x0 --y0 --px0 --py0 must be finite")
+    return c0
+
+
 def _base_config(ns, command: str) -> dict:
     cfg = {"command": command, "wigsim_version": __version__}
     return cfg
@@ -249,7 +256,7 @@ def _base_config(ns, command: str) -> dict:
 
 def _run_fidelity(ns):
     b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
-    c0 = PhasePoint(ns.x0, ns.y0, ns.px0, ns.py0)
+    c0 = _initial_point(ns)
     times = TimeGrid(ns.t_start, ns.t_end, ns.t_steps).times()
     if ns.quad_order < 1:
         raise ValueError("quad-order must be positive")
@@ -301,7 +308,7 @@ def _run_fidelity(ns):
 
 def _run_trajectory(ns):
     b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
-    c0 = PhasePoint(ns.x0, ns.y0, ns.px0, ns.py0)
+    c0 = _initial_point(ns)
     times = TimeGrid(ns.t_start, ns.t_end, ns.t_steps).times()
     rows = []
     for b0 in b0_list:
@@ -334,6 +341,10 @@ def _run_entropy(ns):
     b0_list = ns.b0 if ns.b0 is not None else _float_list(_ENTROPY_B0)
     if ns.gravity not in (None, 0.0):
         raise ValueError("gravity does not apply to the entropy sweep systems")
+    if ns.system == "free" and ns.omega0 not in (None, 0.0):
+        raise ValueError("omega0 does not apply to the free entropy sweep")
+    # the trap frequency of the ho rows; the free sweep has no trap
+    omega0 = _resolve_omega0(ns, "free" if ns.system == "free" else "ho")
     if ns.quad_order < 3:
         raise ValueError("quad-order (box nodes per axis) must be at least 3")
     convention = (measures.EntropyConvention.RAW_BOX if ns.entropy_convention == "raw"
@@ -342,7 +353,6 @@ def _run_entropy(ns):
     rows = []
     for name in systems:
         kind = SystemKind.HO_FIELD if name == "ho" else SystemKind.FREE_FIELD
-        omega0 = _resolve_omega0(ns, name)
         pairs = measures.entropy_vs_field(
             kind, b0_list, mass=ns.mass, hbar=ns.hbar, charge=ns.charge, omega0=omega0,
             box_half_width=ns.box_half_width, nodes_per_axis=ns.quad_order,
@@ -357,7 +367,7 @@ def _run_entropy(ns):
         "system": ns.system,
         "b0": b0_list,
         "mass": ns.mass, "hbar": ns.hbar, "charge": ns.charge,
-        "omega0": ns.omega0 if ns.omega0 is not None else 1.0,
+        "omega0": omega0,
         "quad_order": ns.quad_order,
         "box_half_width": ns.box_half_width,
         "entropy_convention": ns.entropy_convention,
@@ -435,7 +445,7 @@ def _run_ncmap(ns):
         row["b0_effective"] = b_eff
         row["x_scale"] = shift.scale_x
         row["x_shear_from_py"] = shift.shear_x_from_py
-        mapped = shift.apply(PhasePoint(ns.x0, ns.y0, ns.px0, ns.py0))
+        mapped = shift.apply(_initial_point(ns))
         row["x0_mapped"] = mapped.x
     row["s_aux"] = auxiliary_s(ns.mu, ns.nu)
     row["sigma_invertible"] = sigma_invertible(nc, ns.hbar)

@@ -194,6 +194,13 @@ class EntropyResult:
     scheme: quadrature.QuadratureScheme
 
 
+def _box_mass(state, scheme: quadrature.QuadratureScheme) -> float:
+    """Integral of |W| over the scheme's box."""
+    return quadrature.integrate(
+        lambda *c: np.abs(np.asarray(state.value(*c), dtype=float)), scheme.dims, scheme
+    )
+
+
 def shannon_entropy(state, scheme: quadrature.QuadratureScheme,
                     convention: EntropyConvention = EntropyConvention.RAW_BOX) -> EntropyResult:
     """S = -integral |W| ln |W| over the scheme's box.
@@ -208,9 +215,7 @@ def shannon_entropy(state, scheme: quadrature.QuadratureScheme,
 
     scale = 1.0
     if convention is EntropyConvention.NORMALIZED_BOX:
-        mass = quadrature.integrate(
-            lambda *c: np.abs(np.asarray(state.value(*c), dtype=float)), dims, scheme
-        )
+        mass = _box_mass(state, scheme)
         if not (mass > 0 and math.isfinite(mass)):
             raise ValueError("state has no mass on the box; cannot normalize")
         scale = 1.0 / mass
@@ -230,10 +235,11 @@ def entropy_vs_field(kind: SystemKind, b0_values, *, mass: float = 1.0, hbar: fl
                      convention: EntropyConvention = EntropyConvention.RAW_BOX):
     """Ground-state entropy as a function of the field strength.
 
-    Trapped system: the ground state factorizes, so the 4D box entropy is
-    the sum of the two 2D sector entropies (cheap and exact for a product
-    state).  Free system: Landau ground level, full 4D box.  Returns a list
-    of (b0, entropy) pairs.
+    Trapped system: the ground state is a product W_x W_y over two sectors,
+    so on a product box the 4D entropy is M_y S_x + M_x S_y, with M the box
+    mass of |W| of each sector (cheap and exact; in the normalized
+    convention both masses are 1).  Free system: Landau ground level, full
+    4D box.  Returns a list of (b0, entropy) pairs.
     """
     L = float(box_half_width)
     rows = []
@@ -244,9 +250,12 @@ def entropy_vs_field(kind: SystemKind, b0_values, *, mass: float = 1.0, hbar: fl
                                   b0=b0, omega0=omega0)
             state = StationaryHOState(0, 0, params)
             scheme2 = quadrature.box_scheme((nodes_per_axis,) * 2, [(-L, L)] * 2)
-            sx = shannon_entropy(state.sector_x(), scheme2, convention).value
-            sy = shannon_entropy(state.sector_y(), scheme2, convention).value
-            rows.append((b0, sx + sy))
+            wx, wy = state.sector_x(), state.sector_y()
+            sx = shannon_entropy(wx, scheme2, convention).value
+            sy = shannon_entropy(wy, scheme2, convention).value
+            mx, my = ((_box_mass(wx, scheme2), _box_mass(wy, scheme2))
+                      if convention is EntropyConvention.RAW_BOX else (1.0, 1.0))
+            rows.append((b0, my * sx + mx * sy))
         elif kind is SystemKind.FREE_FIELD:
             params = SystemParams(kind=kind, mass=mass, hbar=hbar, charge=charge, b0=b0)
             state = LandauState(0, params, box_half_width=L)

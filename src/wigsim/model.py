@@ -67,6 +67,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError("time grid start and end must be finite")
         if not self.end > self.start:
             raise ValueError("time grid requires end > start")
         if self.steps < 2:

@@ -8,6 +8,7 @@ rules by Newton iteration on the orthonormal recurrence.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -184,14 +185,23 @@ def _hermite_pair(n: int, x: np.ndarray):
 def gauss_hermite(n: int) -> GaussHermiteRule:
     """Gauss-Hermite rule of order n (1 <= n <= 256).
 
+    Each order is built once per process and shared by every caller, so the
+    returned nodes and weights are read-only arrays.
+    """
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 256:
+        raise ValueError("gauss_hermite order must satisfy 1 <= n <= 256")
+    return _build_gauss_hermite(int(n))
+
+
+@functools.lru_cache(maxsize=None)   # bounded by the 256 orders validated above
+def _build_gauss_hermite(n: int) -> GaussHermiteRule:
+    """Build the order-n rule.
+
     Positive roots are bracketed by sign changes of p_n on a cosine grid
     x = sqrt(2n+1) cos(theta) (the roots are nearly uniform in theta), then
     polished by Newton steps kept inside their brackets.  Only the positive
     half is solved, so nodes come out exactly symmetric.
     """
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 256:
-        raise ValueError("gauss_hermite order must satisfy 1 <= n <= 256")
-    n = int(n)
     pp_scale = math.sqrt(2.0 * n)
     n_pos = n // 2
 
@@ -242,4 +252,6 @@ def gauss_hermite(n: int) -> GaussHermiteRule:
         _, pm0 = _hermite_pair(n, np.zeros(1))
         nodes[n_pos] = 0.0
         weights[n_pos] = 2.0 / (pp_scale * pm0[0]) ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return GaussHermiteRule(nodes=nodes, weights=weights)

@@ -31,10 +31,6 @@ __all__ = [
     "gqw_energy",
     "normalize_gqw",
     "stargen_residual",
-    "eval_gaussian",
-    "eval_ho_stationary",
-    "eval_landau",
-    "eval_gqw",
 ]
 
 
@@ -384,18 +380,3 @@ def stargen_residual(state: GQWState, xi: float, h: float = 5e-4,
     peak = float(np.max(np.abs(state.sector_y.value_xi(grid))))
     return residual / peak
 
-
-def eval_gaussian(state: GaussianWigner, point: PhasePoint):
-    return state.value(*point)
-
-
-def eval_ho_stationary(state: StationaryHOState, point: PhasePoint):
-    return state.value(*point)
-
-
-def eval_landau(state: LandauState, point: PhasePoint):
-    return state.value(*point)
-
-
-def eval_gqw(state: GQWState, point: PhasePoint):
-    return state.value(*point)

@@ -7,6 +7,7 @@ import pytest
 
 import wigsim.cli as cli
 from wigsim.dynamics import TrajectorySolution, evolve_gqw_field
+from wigsim.measures import entropy_vs_field
 from wigsim.model import PhasePoint, SystemKind, SystemParams
 from wigsim.wigner import TruncationError
 
@@ -285,6 +286,45 @@ def test_entropy_rejects_gravity(capsys):
         capsys, "entropy", "--gravity", "2", "--quad-order", "11", "--b0", "0.5")
     assert code == 2
     assert "E_RANGE" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("trajectory", "--x0", "nan", "--t-steps", "3"),
+    ("trajectory", "--t-end", "inf", "--t-steps", "3"),
+    ("fidelity", "--x0", "inf", "--t-steps", "2", "--quad-order", "2"),
+], ids=["trajectory-x0-nan", "trajectory-t-end-inf", "fidelity-x0-inf"])
+def test_non_finite_input_is_range_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "E_RANGE" in err
+    assert out == ""
+
+
+def test_entropy_free_header_omega0(capsys):
+    code, out, err = run_cli(
+        capsys, "entropy", "--system", "free", "--b0", "0.5", "--quad-order", "11")
+    assert code == 0, err
+    meta, _, _ = parse_csv(out)
+    assert meta["omega0"] == "0"
+    code, _, err = run_cli(
+        capsys, "entropy", "--system", "free", "--omega0", "3", "--b0", "0.5",
+        "--quad-order", "11")
+    assert code == 2
+    assert "E_RANGE" in err
+
+
+def test_entropy_trap_header_omega0(capsys):
+    # a truncating box, where the ho entropy depends on the trap frequency
+    for argv, omega0 in (((), "1"), (("--omega0", "3"), "3")):
+        code, out, err = run_cli(capsys, "entropy", "--system", "both", "--b0", "0.5",
+                                 "--quad-order", "11", "--box-half-width", "1", *argv)
+        assert code == 0, err
+        meta, _, rows = parse_csv(out)
+        assert meta["omega0"] == omega0
+        [(_, want)] = entropy_vs_field(SystemKind.HO_FIELD, [0.5], omega0=float(omega0),
+                                       box_half_width=1.0, nodes_per_axis=11)
+        assert rows[0]["system"] == "ho"
+        assert rows[0]["entropy"] == f"{want:.12g}"
 
 
 def test_json_format(capsys):

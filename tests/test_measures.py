@@ -19,7 +19,7 @@ from wigsim.measures import (
 )
 from wigsim.model import PhasePoint, SystemKind, SystemParams
 from wigsim.quadrature import box_scheme
-from wigsim.wigner import Gaussian2D, GaussianWigner, StationaryHOState
+from wigsim.wigner import Gaussian2D, GaussianWigner, LandauState, StationaryHOState
 
 C0 = PhasePoint(1.0, 1.0, 1.0, 1.0)
 ORIGIN = PhasePoint(0.0, 0.0, 0.0, 0.0)
@@ -206,6 +206,44 @@ class TestEntropyVsField:
         assert values[0] < values[1] < values[2]
         # the raw box entropy of the lowest Landau level is linear in b0
         assert values[0] / values[2] == pytest.approx(0.1, rel=0.02)
+
+    @pytest.mark.parametrize("convention", list(EntropyConvention))
+    @pytest.mark.parametrize("half_width", [1.0, 2.0, 8.0])
+    def test_trap_sector_route_matches_4d_box(self, half_width, convention):
+        # boxes of half-width 1 and 2 truncate the ground state, so each
+        # sector's box mass is below 1 and enters the raw sector sum
+        rows = entropy_vs_field(SystemKind.HO_FIELD, [0.5], box_half_width=half_width,
+                                nodes_per_axis=41, convention=convention)
+        state = StationaryHOState(0, 0, SystemParams(kind=SystemKind.HO_FIELD, b0=0.5,
+                                                     omega0=1.0))
+        box = box_scheme((41,) * 4, [(-half_width, half_width)] * 4)
+        want = shannon_entropy(state, box, convention).value
+        assert rows[0][1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("half_width, want", [(1.0, 1.666462), (2.0, 4.128245)])
+    def test_trap_truncating_box_values(self, half_width, want):
+        rows = entropy_vs_field(SystemKind.HO_FIELD, [0.5], box_half_width=half_width,
+                                nodes_per_axis=41)
+        assert rows[0][1] == pytest.approx(want, abs=1e-6)
+
+    def test_raw_landau_keeps_printed_prefactor(self):
+        # the raw sweep integrates W_0 as printed, not box-normalized: its box
+        # mass is the erf closed form of the two truncated ridges (64 here)
+        p = SystemParams(kind=SystemKind.FREE_FIELD, b0=0.5)
+        half_width, a = 8.0, math.sqrt(p.mass * p.omega)
+
+        def ridge(z):
+            return z * math.erf(z) + math.exp(-z * z) / math.sqrt(math.pi)
+
+        sector = math.sqrt(math.pi) * (ridge(a * half_width + half_width / a)
+                                       - ridge(a * half_width - half_width / a))
+        state = LandauState(0, p, box_half_width=half_width)
+        assert state.box_integral(41) == pytest.approx(sector ** 2 / math.pi, rel=1e-6)
+        assert sector ** 2 / math.pi == pytest.approx(64.0, rel=1e-12)
+        box = box_scheme((21,) * 4, [(-half_width, half_width)] * 4)
+        rows = entropy_vs_field(SystemKind.FREE_FIELD, [0.5], box_half_width=half_width,
+                                nodes_per_axis=21)
+        assert rows[0][1] == shannon_entropy(state, box).value
 
     def test_gravitational_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -125,3 +125,6 @@ def test_time_grid():
         TimeGrid(1.0, 0.0, 5)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, 1)
+    for start, end in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            TimeGrid(start, end, 5)

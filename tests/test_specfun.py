@@ -9,6 +9,7 @@ from wigsim.specfun import (
     _airy_asym_neg,
     _airy_asym_pos,
     _airy_series,
+    _build_gauss_hermite,
     airy_ai,
     airy_zero,
     gauss_hermite,
@@ -186,10 +187,37 @@ class TestGaussHermite:
                 assert abs(p1 / pp) <= 1e-13 * max(1.0, abs(z))
 
     def test_order_bounds(self):
+        for bad in (0, 257, 2.5):
+            with pytest.raises(ValueError):
+                gauss_hermite(bad)
+
+    def test_rule_is_built_once_per_order(self):
+        assert gauss_hermite(12) is gauss_hermite(np.int64(12))
+
+    def test_shared_rule_is_read_only(self):
+        rule = gauss_hermite(7)
         with pytest.raises(ValueError):
-            gauss_hermite(0)
+            rule.nodes[0] = 1.0
         with pytest.raises(ValueError):
-            gauss_hermite(257)
+            rule.weights[0] = 1.0
+
+    def test_cached_rule_equals_fresh_build(self):
+        for n in (1, 2, 9, 32, 256):
+            fresh = _build_gauss_hermite.__wrapped__(n)
+            cached = gauss_hermite(n)
+            assert np.array_equal(cached.nodes, fresh.nodes)
+            assert np.array_equal(cached.weights, fresh.weights)
+
+    @pytest.mark.parametrize("n", [2, 12, 32, 64, 128, 256])
+    def test_against_mpmath(self, n):
+        from mpmath import mp   # the `test` extra; a test-only oracle
+        with mp.workdps(30):
+            x_ref, w_ref = mp.gauss_quadrature(n, "hermite")
+            x_ref = np.array([float(v) for v in x_ref])
+            w_ref = np.array([float(v) for v in w_ref])
+        rule = gauss_hermite(n)
+        assert np.all(np.abs(rule.nodes - x_ref) <= 1e-14 * np.maximum(1.0, np.abs(x_ref)))
+        assert np.all(np.abs(rule.weights - w_ref) <= 1e-12 * w_ref)
 
     def test_weights_positive(self):
         rule = gauss_hermite(256)
