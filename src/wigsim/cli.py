@@ -249,8 +249,23 @@ def _initial_point(ns) -> PhasePoint:
     return c0
 
 
-def _base_config(ns, command: str) -> dict:
+_PHYSICS_KEYS = ("mass", "hbar", "charge", "omega0")
+_FLOW_KEYS = ("x0", "y0", "px0", "py0", "t_start", "t_end", "t_steps")
+
+
+def _config(command: str, ns, keys, **values) -> dict:
+    """Header config of a run: command and version, then each key in order.
+
+    A key's value comes from values, else from the defaults here (omega0 and
+    gravity as resolved for ns.system, the fixed notes), else from the flag
+    of the same name.
+    """
+    values = {"omega0": _resolve_omega0(ns, ns.system),
+              "gravity": _resolve_gravity(ns, ns.system),
+              "epsilon_convention": _EPS_NOTE, "time_variable": "tau", **values}
     cfg = {"command": command, "wigsim_version": __version__}
+    for key in keys:
+        cfg[key] = values[key] if key in values else getattr(ns, key)
     return cfg
 
 
@@ -287,20 +302,9 @@ def _run_fidelity(ns):
         columns.append("f_paper")
     columns.append("abs_diff")
 
-    cfg = _base_config(ns, "fidelity")
-    cfg.update({
-        "system": ns.system,
-        "b0": b0_list,
-        "mass": ns.mass, "hbar": ns.hbar, "charge": ns.charge,
-        "omega0": _resolve_omega0(ns, ns.system),
-        "gravity": _resolve_gravity(ns, ns.system),
-        "x0": ns.x0, "y0": ns.y0, "px0": ns.px0, "py0": ns.py0,
-        "t_start": ns.t_start, "t_end": ns.t_end, "t_steps": ns.t_steps,
-        "quad_order": ns.quad_order,
-        "fidelity_form": ns.fidelity_form,
-        "epsilon_convention": _EPS_NOTE,
-        "time_variable": "tau",
-    })
+    cfg = _config("fidelity", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", *_FLOW_KEYS,
+                                   "quad_order", "fidelity_form", "epsilon_convention",
+                                   "time_variable"), b0=b0_list)
     if has_paper:
         cfg["f_paper_note"] = "printed omega0=1 family (unit-weight rotation)"
     return columns, rows, cfg
@@ -322,18 +326,8 @@ def _run_trajectory(ns):
                 "px": float(arr[j, 2]), "py": float(arr[j, 3]),
             })
     columns = ["b0", "tau", "x", "y", "px", "py"]
-    cfg = _base_config(ns, "trajectory")
-    cfg.update({
-        "system": ns.system,
-        "b0": b0_list,
-        "mass": ns.mass, "hbar": ns.hbar, "charge": ns.charge,
-        "omega0": _resolve_omega0(ns, ns.system),
-        "gravity": _resolve_gravity(ns, ns.system),
-        "x0": ns.x0, "y0": ns.y0, "px0": ns.px0, "py0": ns.py0,
-        "t_start": ns.t_start, "t_end": ns.t_end, "t_steps": ns.t_steps,
-        "epsilon_convention": _EPS_NOTE,
-        "time_variable": "tau",
-    })
+    cfg = _config("trajectory", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", *_FLOW_KEYS,
+                                     "epsilon_convention", "time_variable"), b0=b0_list)
     return columns, rows, cfg
 
 
@@ -362,17 +356,9 @@ def _run_entropy(ns):
             rows.append({"system": name, "b0": b0, "entropy": value,
                          "convention": ns.entropy_convention})
     columns = ["system", "b0", "entropy", "convention"]
-    cfg = _base_config(ns, "entropy")
-    cfg.update({
-        "system": ns.system,
-        "b0": b0_list,
-        "mass": ns.mass, "hbar": ns.hbar, "charge": ns.charge,
-        "omega0": omega0,
-        "quad_order": ns.quad_order,
-        "box_half_width": ns.box_half_width,
-        "entropy_convention": ns.entropy_convention,
-        "epsilon_convention": _EPS_NOTE,
-    })
+    cfg = _config("entropy", ns, ("system", "b0", *_PHYSICS_KEYS, "quad_order",
+                                  "box_half_width", "entropy_convention", "epsilon_convention"),
+                  b0=b0_list, omega0=omega0)
     return columns, rows, cfg
 
 
@@ -413,22 +399,14 @@ def _run_spectrum(ns):
         for n_y in range(1, ns.n_max + 1):
             rows.append({"n_y": n_y, "energy": wigner.gqw_energy(n_y, params)})
         b0_used = []
-    cfg = _base_config(ns, "spectrum")
-    cfg.update({
-        "system": ns.system,
-        "b0": b0_used,
-        "mass": ns.mass, "hbar": ns.hbar, "charge": ns.charge,
-        "omega0": _resolve_omega0(ns, ns.system),
-        "gravity": _resolve_gravity(ns, ns.system),
-        "n_max": ns.n_max,
-    })
+    cfg = _config("spectrum", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", "n_max"), b0=b0_used)
     return columns, rows, cfg
 
 
 def _run_ncmap(ns):
     nc = NCParams(theta=ns.theta, eta=ns.eta, mu=ns.mu, nu=ns.nu)
     omega0 = _resolve_omega0(ns, ns.system)
-    g = _resolve_gravity(ns, "gqw" if ns.system == "gqw" else ns.system)
+    g = _resolve_gravity(ns, ns.system)
     row = {"map": ns.system, "theta": ns.theta, "eta": ns.eta, "mu": ns.mu, "nu": ns.nu}
     if ns.system == "ho":
         params = SystemParams(kind=SystemKind.HO_FIELD, mass=ns.mass, hbar=ns.hbar,
@@ -450,14 +428,8 @@ def _run_ncmap(ns):
     row["s_aux"] = auxiliary_s(ns.mu, ns.nu)
     row["sigma_invertible"] = sigma_invertible(nc, ns.hbar)
     columns = list(row.keys())
-    cfg = _base_config(ns, "ncmap")
-    cfg.update({
-        "system": ns.system,
-        "theta": ns.theta, "eta": ns.eta, "mu": ns.mu, "nu": ns.nu,
-        "mass": ns.mass, "hbar": ns.hbar, "charge": ns.charge,
-        "omega0": omega0,
-        "gravity": g,
-    })
+    cfg = _config("ncmap", ns, ("system", "theta", "eta", "mu", "nu", *_PHYSICS_KEYS,
+                                "gravity"))
     return columns, [row], cfg
 
 
@@ -480,10 +452,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _config_float(value: float) -> str:
+    """A header float at 12 significant digits when they read back as the
+    same float, else at repr, so a run from the header uses the same value."""
+    text = f"{value:.12g}"
+    return text if float(text) == value else repr(value)
+
+
 def _config_line(value) -> str:
     if isinstance(value, (list, tuple)):
-        return ", ".join(_format_cell(v) for v in value)
-    return _format_cell(value)
+        return ", ".join(_config_line(v) for v in value)
+    return _config_float(value) if isinstance(value, float) else _format_cell(value)
 
 
 def _json_value(value):
@@ -498,6 +477,14 @@ def _json_value(value):
     return value
 
 
+def _json_config(value):
+    if isinstance(value, float):
+        return float(_config_float(value))
+    if isinstance(value, (list, tuple)):
+        return [_json_config(v) for v in value]
+    return _json_value(value)
+
+
 def _render(fmt: str, command: str, config: dict, columns, rows) -> str:
     if fmt == "csv":
         lines = [f"# wigsim {command}"]
@@ -508,7 +495,7 @@ def _render(fmt: str, command: str, config: dict, columns, rows) -> str:
             lines.append(",".join(_format_cell(row[c]) for c in columns))
         return "\n".join(lines) + "\n"
     doc = {
-        "config": {k: _json_value(v) for k, v in config.items()},
+        "config": {k: _json_config(v) for k, v in config.items()},
         "rows": [{c: _json_value(row[c]) for c in columns} for row in rows],
     }
     return json.dumps(doc, indent=2) + "\n"

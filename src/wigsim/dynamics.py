@@ -8,7 +8,8 @@ quadratic part oscillates at big_omega = sqrt(omega^2 + omega0^2):
     zeta(t) = e^{-i omega t} [zeta0 cos(big_omega t) + (pi0 / (m big_omega)) sin(big_omega t)]
     pi(t)   = e^{-i omega t} [pi0 cos(big_omega t) - m big_omega zeta0 sin(big_omega t)]
 
-Gravity adds an affine drift handled by variation of constants.
+Gravity adds a drift handled by variation of constants, so every flow is one
+affine map z(t) = M(t) z0 + b(t) with M symplectic (flow_map).
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhasePoint, SystemKind, SystemParams
+from .model import PhasePoint, SystemParams
+from .specfun import _unwrap_scalar
 
 __all__ = [
     "TrajectorySolution",
+    "flow_map",
     "evolve",
     "evolve_ho",
     "evolve_free",
@@ -40,127 +43,117 @@ class TrajectorySolution:
     initial: PhasePoint
 
 
-def _rotating_flow(initial: PhasePoint, t, omega: float, big_omega: float,
-                   m_big_omega: float) -> PhasePoint:
+def _quadratic_map(omega: float, big_omega: float, mass: float, t) -> np.ndarray:
+    """M(t) of the quadratic part, shape t.shape + (4, 4).
+
+    M = W (x) R: the oscillation W at big_omega, with position/momentum
+    weight mass * big_omega, acts on the (position, momentum) pair, and the
+    field rotation R at omega acts within each plane.  big_omega = 0 is the
+    ballistic limit sin(big_omega t) / (mass big_omega) -> t / mass.
+    """
     t = np.asarray(t, dtype=float)
-    zeta0 = np.asarray(initial.x, dtype=float) + 1j * np.asarray(initial.y, dtype=float)
-    pi0 = np.asarray(initial.px, dtype=float) + 1j * np.asarray(initial.py, dtype=float)
-    c = np.cos(big_omega * t)
-    s = np.sin(big_omega * t)
-    rot = np.exp(-1j * omega * t)
-    zeta = rot * (zeta0 * c + pi0 * s / m_big_omega)
-    pi = rot * (pi0 * c - m_big_omega * zeta0 * s)
+    if big_omega > 0:
+        c = np.cos(big_omega * t)
+        s = np.sin(big_omega * t)
+        w = np.array([[c, s / (mass * big_omega)], [-(mass * big_omega) * s, c]])
+    else:
+        one = np.ones_like(t)
+        w = np.array([[one, t / mass], [np.zeros_like(t), one]])
+    cw = np.cos(omega * t)
+    sw = np.sin(omega * t)
+    r = np.array([[cw, sw], [-sw, cw]])
+    # time axes last while multiplying, so the inner loops run over time
+    m = (w[:, None, :, None] * r[None, :, None, :]).reshape((4, 4) + t.shape)
+    return np.moveaxis(m, (0, 1), (-2, -1))
 
-    def _r(v):
-        return float(v) if v.ndim == 0 else v
 
-    return PhasePoint(_r(zeta.real), _r(zeta.imag), _r(pi.real), _r(pi.imag))
+def flow_map(params: SystemParams, t):
+    """The exact flow z(t) = M(t) z0 + b(t) of params, vectorized over t.
+
+    M has shape t.shape + (4, 4) and is symplectic; b has shape t.shape + (4,)
+    and is the gravitational drift, zero without gravity.  With a field
+    (omega > 0) the drift is a uniform motion perpendicular to gravity,
+    velocity -g / (2 omega) along x, with the secular momentum loss
+    -m g t / 2 in py and oscillatory parts closing at 2 omega; without one it
+    is the ballistic drop.
+    """
+    t = np.asarray(t, dtype=float)
+    m = _quadratic_map(params.omega, params.big_omega, params.mass, t)
+    b = np.zeros((4,) + t.shape)
+    g = params.g
+    if g:
+        # SystemParams puts gravity only on untrapped systems, so big_omega = omega
+        mass = params.mass
+        w = params.omega
+        if w > 0:
+            s2 = np.sin(2.0 * w * t)
+            c2 = np.cos(2.0 * w * t)
+            b[0] = -g * t / (2.0 * w) + g * s2 / (4.0 * w * w)
+            b[1] = -g * (1.0 - c2) / (4.0 * w * w)
+            b[2] = -mass * g * (1.0 - c2) / (4.0 * w)
+            b[3] = -mass * g * t / 2.0 - mass * g * s2 / (4.0 * w)
+        else:
+            b[1] = -0.5 * g * t * t
+            b[3] = -mass * g * t
+    return m, np.moveaxis(b, 0, -1)
+
+
+def _transport(m: np.ndarray, b, initial: PhasePoint) -> PhasePoint:
+    """z = M z0 + b, broadcasting the time shape of M against the shape of
+    the initial point's components; rejects a non-finite initial point."""
+    z0 = initial.as_array()
+    if not np.all(np.isfinite(z0)):
+        raise ValueError("initial point must be finite")
+    z = np.einsum("...ij,...j->...i", m, z0) + b
+    return PhasePoint(*(_unwrap_scalar(z[..., k]) for k in range(4)))
+
+
+def evolve(sol: TrajectorySolution, t) -> PhasePoint:
+    """Phase-space point(s) at time(s) t under the exact flow of sol.params.
+
+    Covers every kind, including the field-free limits: a FREE_FIELD or
+    GQW_FIELD system with b0 = 0 moves ballistically.
+    """
+    return _transport(*flow_map(sol.params, t), sol.initial)
 
 
 def evolve_ho(sol: TrajectorySolution, t) -> PhasePoint:
     """Trapped charge in a transverse field: rotation at omega times
     oscillation at big_omega.  Requires big_omega > 0."""
-    p = sol.params
-    if not p.big_omega > 0:
+    if not sol.params.big_omega > 0:
         raise ValueError("evolve_ho needs big_omega > 0 (some trap or field)")
-    return _rotating_flow(sol.initial, t, p.omega, p.big_omega, p.mass * p.big_omega)
+    return evolve(sol, t)
 
 
 def evolve_free(sol: TrajectorySolution, t) -> PhasePoint:
     """Free charge in a transverse field; the omega0 -> 0 limit of evolve_ho.
 
-    Rejects omega = 0 (use the straight-line ballistic flow for that limit;
-    evolve() dispatches it automatically).
+    Rejects omega = 0 (evolve() covers that straight-line limit).
     """
     p = sol.params
     if p.omega0 != 0:
         raise ValueError("evolve_free requires omega0 = 0")
     if not p.omega > 0:
         raise ValueError("evolve_free requires omega > 0; at b0 = 0 motion is ballistic")
-    return _rotating_flow(sol.initial, t, p.omega, p.omega, p.mass * p.omega)
+    return evolve(sol, t)
 
 
 def evolve_gqw_ballistic(sol: TrajectorySolution, t) -> PhasePoint:
     """Field-free motion under uniform gravity along -y (g may be 0)."""
-    p = sol.params
-    if p.b0 != 0:
+    if sol.params.b0 != 0:
         raise ValueError("ballistic flow requires b0 = 0")
-    t = np.asarray(t, dtype=float)
-    x0, y0, px0, py0 = (np.asarray(c, dtype=float) for c in sol.initial)
-    m = p.mass
-    x = x0 + px0 * t / m
-    y = y0 + py0 * t / m - 0.5 * p.g * t * t
-    px = px0 * np.ones_like(t)
-    py = py0 - m * p.g * t
-
-    def _r(v):
-        v = np.asarray(v)
-        return float(v) if v.ndim == 0 else v
-
-    return PhasePoint(_r(x), _r(y), _r(px), _r(py))
+    return evolve(sol, t)
 
 
 def evolve_gqw_field(sol: TrajectorySolution, t) -> PhasePoint:
     """Uniform gravity plus transverse field: cyclotron motion around a
-    uniformly drifting center.
-
-    The drift is perpendicular to gravity (velocity -g/(2 omega) along x)
-    with the secular momentum loss -m g t / 2 in py; the oscillatory parts
-    close at 2 omega.  Requires omega > 0.
-    """
+    uniformly drifting center.  Requires omega > 0."""
     p = sol.params
     if p.omega0 != 0:
         raise ValueError("evolve_gqw_field requires omega0 = 0")
     if not p.omega > 0:
         raise ValueError("evolve_gqw_field requires omega > 0; use the ballistic flow at b0 = 0")
-    base = _rotating_flow(sol.initial, t, p.omega, p.omega, p.mass * p.omega)
-    t = np.asarray(t, dtype=float)
-    w = p.omega
-    g = p.g
-    m = p.mass
-    s2 = np.sin(2.0 * w * t)
-    c2 = np.cos(2.0 * w * t)
-    x = base.x - g * t / (2.0 * w) + g * s2 / (4.0 * w * w)
-    y = base.y - g * (1.0 - c2) / (4.0 * w * w)
-    px = base.px - m * g * (1.0 - c2) / (4.0 * w)
-    py = base.py - m * g * t / 2.0 - m * g * s2 / (4.0 * w)
-
-    def _r(v):
-        v = np.asarray(v)
-        return float(v) if v.ndim == 0 else v
-
-    return PhasePoint(_r(x), _r(y), _r(px), _r(py))
-
-
-def evolve(sol: TrajectorySolution, t) -> PhasePoint:
-    """Dispatch to the closed-form flow for sol.params.kind.
-
-    Degenerate field-free limits fall back to the ballistic flow: a
-    FREE_FIELD system with b0 = 0 moves on a straight line, a GQW_FIELD
-    system with b0 = 0 is identical to GQW_BALLISTIC.
-    """
-    kind = sol.params.kind
-    if kind is SystemKind.HO_FIELD:
-        return evolve_ho(sol, t)
-    if kind is SystemKind.FREE_FIELD:
-        if sol.params.omega > 0:
-            return evolve_free(sol, t)
-        return evolve_gqw_ballistic(sol, t)
-    if kind is SystemKind.GQW_BALLISTIC:
-        return evolve_gqw_ballistic(sol, t)
-    if sol.params.omega > 0:
-        return evolve_gqw_field(sol, t)
-    ballistic = TrajectorySolution(
-        params=SystemParams(
-            kind=SystemKind.GQW_BALLISTIC,
-            mass=sol.params.mass,
-            hbar=sol.params.hbar,
-            charge=sol.params.charge,
-            g=sol.params.g,
-        ),
-        initial=sol.initial,
-    )
-    return evolve_gqw_ballistic(ballistic, t)
+    return evolve(sol, t)
 
 
 def canonical_rhs(params: SystemParams, point: PhasePoint) -> np.ndarray:

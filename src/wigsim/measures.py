@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .dynamics import TrajectorySolution, evolve
+from .dynamics import TrajectorySolution, _quadratic_map, _transport, evolve
 from .model import PhasePoint, SystemKind, SystemParams
+from .specfun import _unwrap_scalar
 from .wigner import GaussianWigner, LandauState, StationaryHOState
 
 __all__ = [
@@ -49,9 +50,7 @@ def fidelity_gaussian_closed(c0: PhasePoint, ct: PhasePoint):
     Accepts array-valued components in ct (or c0) and broadcasts.
     """
     d = ct.as_array() - c0.as_array()
-    out = np.exp(-0.5 * np.sum(d * d, axis=-1))
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
+    return _unwrap_scalar(np.exp(-0.5 * np.sum(d * d, axis=-1)))
 
 
 def default_fidelity_scheme(w1, w2, order: int = 32) -> quadrature.QuadratureScheme:
@@ -103,20 +102,7 @@ def paper_form_point(omega, t, c0: PhasePoint) -> PhasePoint:
     position/momentum weights (the omega0 = 1 family with the lam/kap ratio
     replaced by 1).
     """
-    t = np.asarray(t, dtype=float)
-    zeta0 = complex(c0.x, c0.y)
-    pi0 = complex(c0.px, c0.py)
-    rot = np.exp(-1j * np.asarray(omega, dtype=float) * t)
-    c = np.cos(t)
-    s = np.sin(t)
-    zeta = rot * (zeta0 * c + pi0 * s)
-    pi = rot * (pi0 * c - zeta0 * s)
-
-    def _r(v):
-        v = np.asarray(v)
-        return float(v) if v.ndim == 0 else v
-
-    return PhasePoint(_r(zeta.real), _r(zeta.imag), _r(pi.real), _r(pi.imag))
+    return _transport(_quadratic_map(omega, 1.0, 1.0, t), 0.0, c0)
 
 
 def fidelity_ho_paper(omega, t, c0: PhasePoint):
@@ -130,12 +116,10 @@ def fidelity_ho_paper(omega, t, c0: PhasePoint):
     t = np.asarray(t, dtype=float)
     s_tot = c0.x ** 2 + c0.y ** 2 + c0.px ** 2 + c0.py ** 2
     j_tot = c0.py * c0.x - c0.px * c0.y
-    out = np.exp(
+    return _unwrap_scalar(np.exp(
         s_tot * (np.cos(t) * np.cos(omega * t) - 1.0)
         + 2.0 * j_tot * np.sin(t) * np.sin(omega * t)
-    )
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
+    ))
 
 
 @dataclass(frozen=True)
@@ -165,17 +149,15 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     if form == "paper" and not is_ho_unit:
         raise ValueError("the printed fidelity family assumes the trapped system with omega0 = 1")
 
-    sol = TrajectorySolution(params, c0)
+    if form == "paper":
+        ct = paper_form_point(params.omega, times, c0)
+    else:
+        ct = evolve(TrajectorySolution(params, c0), times)
+    closed = fidelity_gaussian_closed(c0, ct)
     w0 = GaussianWigner(c0)
-    closed = np.empty_like(times)
     quad = np.empty_like(times)
-    for i, t in enumerate(times):
-        if form == "paper":
-            ct = paper_form_point(params.omega, float(t), c0)
-        else:
-            ct = evolve(sol, float(t))
-        closed[i] = fidelity_gaussian_closed(c0, ct)
-        wt = GaussianWigner(ct)
+    for i, center in enumerate(ct.as_array()):
+        wt = GaussianWigner(PhasePoint(*center))
         quad[i] = fidelity_quadrature(w0, wt, default_fidelity_scheme(w0, wt, order))
     paper = fidelity_ho_paper(params.omega, times, c0) if is_ho_unit else None
     return FidelityCurve(times=times, closed=closed, quad=quad, paper=paper,

@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .specfun import _unwrap_scalar
+
 __all__ = [
     "SystemKind",
     "PhasePoint",
@@ -171,4 +173,4 @@ def hamiltonian_value(params: SystemParams, point: PhasePoint):
         + params.omega * (px * y - py * x)
         + params.mass * params.g * y
     )
-    return float(val) if val.ndim == 0 else val
+    return _unwrap_scalar(val)

@@ -38,6 +38,12 @@ for _k in range(1, 41):
     )
 
 
+def _unwrap_scalar(v):
+    """A 0-d result as a Python float; any other shape unchanged."""
+    v = np.asarray(v)
+    return float(v) if v.ndim == 0 else v
+
+
 def laguerre(n: int, x):
     """Laguerre polynomial L_n(x) by the upward three-term recurrence.
 
@@ -49,11 +55,11 @@ def laguerre(n: int, x):
     arr = np.asarray(x, dtype=float)
     prev = np.ones_like(arr)
     if n == 0:
-        return float(prev) if prev.ndim == 0 else prev
+        return _unwrap_scalar(prev)
     cur = 1.0 - arr
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 - arr) * cur - k * prev) / (k + 1)
-    return float(cur) if cur.ndim == 0 else cur
+    return _unwrap_scalar(cur)
 
 
 def _airy_series(x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import quadrature
 from .model import PhasePoint, SystemKind, SystemParams
-from .specfun import airy_ai, airy_zero, laguerre
+from .specfun import _unwrap_scalar, airy_ai, airy_zero, laguerre
 
 __all__ = [
     "TruncationError",
@@ -48,7 +48,7 @@ class Gaussian2D:
         da = np.asarray(a, dtype=float) - self.center[0]
         db = np.asarray(b, dtype=float) - self.center[1]
         out = np.exp(-da * da - db * db) / math.pi
-        return float(out) if out.ndim == 0 else out
+        return _unwrap_scalar(out)
 
 
 class GaussianWigner:
@@ -68,7 +68,7 @@ class GaussianWigner:
         dpx = np.asarray(px, dtype=float) - c.px
         dpy = np.asarray(py, dtype=float) - c.py
         out = np.exp(-(dx * dx + dy * dy + dpx * dpx + dpy * dpy)) / math.pi ** 2
-        return float(out) if out.ndim == 0 else out
+        return _unwrap_scalar(out)
 
     def sector_x(self) -> Gaussian2D:
         return Gaussian2D((self.center.x, self.center.px))
@@ -103,7 +103,7 @@ class HOSector:
         db = np.asarray(b, dtype=float) - self.center[1]
         arg = (self.ratio * da * da + db * db / self.ratio) / self.hbar
         out = np.exp(-arg) / (math.pi * self.hbar)
-        return float(out) if out.ndim == 0 else out
+        return _unwrap_scalar(out)
 
 
 class StationaryHOState:
@@ -144,8 +144,7 @@ class StationaryHOState:
             * laguerre(self.n1, op / hbar)
             * laguerre(self.n2, om / hbar)
         )
-        out = np.asarray(out)
-        return float(out) if out.ndim == 0 else out
+        return _unwrap_scalar(out)
 
     @property
     def energy(self) -> float:
@@ -202,8 +201,7 @@ class LandauState:
         hbar = self.params.hbar
         om = self.omega_form(x, y, px, py) / hbar
         out = self.norm * (-1.0) ** self.n / (math.pi * hbar) * np.exp(-om) * laguerre(self.n, om)
-        out = np.asarray(out)
-        return float(out) if out.ndim == 0 else out
+        return _unwrap_scalar(out)
 
     @property
     def energy(self) -> float:
@@ -250,8 +248,7 @@ class GQWYSector:
     def value_xi(self, xi):
         s = self._s
         out = s.norm * airy_ai(s.alpha * (np.asarray(xi, dtype=float) - s.energy))
-        out = np.asarray(out)
-        return float(out) if out.ndim == 0 else out
+        return _unwrap_scalar(out)
 
     def value(self, y, py):
         s = self._s
@@ -306,7 +303,7 @@ class GQWState:
 
     def value(self, x, y, px, py):
         out = np.asarray(self.sector_x.value(x, px)) * np.asarray(self.sector_y.value(y, py))
-        return float(out) if out.ndim == 0 else out
+        return _unwrap_scalar(out)
 
     def with_x_center(self, x_center) -> "GQWState":
         """Same level and domain, x-sector recentered (used for transport)."""

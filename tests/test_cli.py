@@ -358,3 +358,30 @@ def test_metadata_header_lists_convention(capsys):
     assert meta["epsilon_convention"].startswith("eps12=+1")
     assert meta["command"] == "trajectory"
     assert meta["omega0"] == "1"
+
+
+# header keys that describe the run but are not flags
+_NOT_FLAGS = {"command", "wigsim_version", "epsilon_convention", "time_variable", "f_paper_note"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("fidelity", "--system", "ho", "--b0", "0.5", "--quad-order", "4", "--t-steps", "5"),
+    ("trajectory", "--system", "gqw-b", "--b0", "0, 0.3", "--t-steps", "7"),
+    ("entropy", "--system", "both", "--b0", "0.5", "--quad-order", "5"),
+    ("spectrum", "--system", "gqw", "--n-max", "2"),
+    ("ncmap", "--system", "gqw", "--theta", "0.1", "--eta", "0.2"),
+], ids=lambda argv: argv[0])
+def test_header_reruns_to_same_output(capsys, argv):
+    # the default t_end = 4 pi is not exact at 12 digits, so the header must
+    # record it in full for the rerun to land on the same time grid
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    meta, _, _ = parse_csv(out)
+    flags = [argv[0]]
+    for key, value in meta.items():
+        if key in _NOT_FLAGS or (key == "b0" and not value):
+            continue
+        flags += ["--" + key.replace("_", "-"), value]
+    code, again, err = run_cli(capsys, *flags)
+    assert code == 0, err
+    assert again == out

@@ -14,6 +14,7 @@ from wigsim.dynamics import (
     evolve_gqw_field,
     evolve_ho,
     flow_jacobian,
+    flow_map,
     ode_residual,
 )
 from wigsim.model import PhasePoint, SystemKind, SystemParams, hamiltonian_value
@@ -203,3 +204,57 @@ def test_array_times():
     single = evolve(sol(params), float(ts[3]))
     assert pt.x[3] == pytest.approx(single.x, rel=1e-14)
     assert pt.py[3] == pytest.approx(single.py, rel=1e-14)
+
+
+FLOW_CASES = [
+    SystemParams(kind=SystemKind.HO_FIELD, mass=1.7, b0=0.5, omega0=1.3),
+    SystemParams(kind=SystemKind.FREE_FIELD, b0=0.8),
+    SystemParams(kind=SystemKind.FREE_FIELD, b0=0.0),
+    SystemParams(kind=SystemKind.GQW_BALLISTIC, g=2.0),
+    SystemParams(kind=SystemKind.GQW_FIELD, b0=1.0, g=2.0),
+    SystemParams(kind=SystemKind.GQW_FIELD, b0=0.0, g=2.0),
+]
+FLOW_IDS = ["ho", "free", "free-b0-0", "gqw", "gqw-b", "gqw-b-b0-0"]
+FLOW_TIMES = np.linspace(0.0, 20.0, 41)
+
+
+@pytest.mark.parametrize("params", FLOW_CASES, ids=FLOW_IDS)
+def test_flow_map_is_symplectic(params):
+    m, b = flow_map(params, FLOW_TIMES)
+    assert m.shape == (41, 4, 4)
+    assert b.shape == (41, 4)
+    eye = np.eye(2)
+    zero = np.zeros((2, 2))
+    form = np.block([[zero, eye], [-eye, zero]])
+    assert np.max(np.abs(np.swapaxes(m, -1, -2) @ form @ m - form)) <= 1e-12
+
+
+@pytest.mark.parametrize("params", FLOW_CASES, ids=FLOW_IDS)
+def test_flow_map_matches_finite_difference_jacobian(params):
+    m, _ = flow_map(params, FLOW_TIMES)
+    for i in range(0, 41, 8):
+        jac = flow_jacobian(sol(params), float(FLOW_TIMES[i]), h=1e-3)
+        assert np.max(np.abs(jac - m[i])) <= 1e-9
+
+
+@pytest.mark.parametrize("params", FLOW_CASES, ids=FLOW_IDS)
+def test_flow_map_array_matches_scalar_calls(params):
+    m, b = flow_map(params, FLOW_TIMES)
+    for i, t in enumerate(FLOW_TIMES):
+        ms, bs = flow_map(params, float(t))
+        assert ms.shape == (4, 4) and bs.shape == (4,)
+        assert np.allclose(ms, m[i], rtol=1e-15, atol=1e-15)
+        assert np.allclose(bs, b[i], rtol=1e-15, atol=1e-15)
+    m2, b2 = flow_map(params, FLOW_TIMES[1:].reshape(5, 8))
+    assert m2.shape == (5, 8, 4, 4) and b2.shape == (5, 8, 4)
+    assert np.allclose(m2.reshape(40, 4, 4), m[1:], rtol=1e-15, atol=1e-15)
+    assert np.allclose(b2.reshape(40, 4), b[1:], rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("initial", [
+    PhasePoint(math.inf, 1.0, 1.0, 1.0),
+    PhasePoint(np.array([1.0, math.nan, 2.0]), 1.0, 1.0, 1.0),
+], ids=["scalar-inf", "array-nan"])
+def test_non_finite_initial_point_rejected(initial):
+    with pytest.raises(ValueError, match="finite"):
+        evolve(sol(ho_params(b0=0.5), initial), np.linspace(0.0, 1.0, 3))

@@ -153,6 +153,16 @@ class TestFidelityCurve:
         with pytest.raises(ValueError):
             fidelity_curve(p, C0, [0.0], form="exotic")
 
+    @pytest.mark.parametrize("form", ["consistent", "paper"])
+    @pytest.mark.parametrize("c0", [
+        PhasePoint(math.inf, 1.0, 1.0, 1.0),
+        PhasePoint(np.array([1.0, math.nan, 2.0]), 1.0, 1.0, 1.0),
+    ], ids=["scalar-inf", "array-nan"])
+    def test_non_finite_initial_point_rejected(self, form, c0):
+        p = SystemParams(kind=SystemKind.HO_FIELD, b0=0.5, omega0=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            fidelity_curve(p, c0, np.linspace(0.0, 1.0, 3), order=2, form=form)
+
 
 class TestEntropy:
     def test_unit_gaussian_sector(self):
