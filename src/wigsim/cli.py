@@ -428,8 +428,9 @@ def _run_ncmap(ns):
     row["s_aux"] = auxiliary_s(ns.mu, ns.nu)
     row["sigma_invertible"] = sigma_invertible(nc, ns.hbar)
     columns = list(row.keys())
+    initial = ("x0", "y0", "px0", "py0") if ns.system == "gqw" else ()
     cfg = _config("ncmap", ns, ("system", "theta", "eta", "mu", "nu", *_PHYSICS_KEYS,
-                                "gravity"))
+                                "gravity", *initial))
     return columns, [row], cfg
 
 

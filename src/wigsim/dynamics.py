@@ -49,9 +49,12 @@ def _quadratic_map(omega: float, big_omega: float, mass: float, t) -> np.ndarray
     M = W (x) R: the oscillation W at big_omega, with position/momentum
     weight mass * big_omega, acts on the (position, momentum) pair, and the
     field rotation R at omega acts within each plane.  big_omega = 0 is the
-    ballistic limit sin(big_omega t) / (mass big_omega) -> t / mass.
+    ballistic limit sin(big_omega t) / (mass big_omega) -> t / mass.  Every
+    flow takes its times here, so this is where a non-finite time is rejected.
     """
     t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
     if big_omega > 0:
         c = np.cos(big_omega * t)
         s = np.sin(big_omega * t)

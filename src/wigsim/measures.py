@@ -54,16 +54,16 @@ def fidelity_gaussian_closed(c0: PhasePoint, ct: PhasePoint):
 
 
 def default_fidelity_scheme(w1, w2, order: int = 32) -> quadrature.QuadratureScheme:
-    """Gauss-Hermite scheme centered between the two states.
+    """Gauss-Hermite scheme centered between the two states, one axis per
+    center coordinate (a state without a center sits at the origin).
 
     With unit scales the sqrt-overlap integrand of two unit Gaussians is a
     polynomial times the scheme's own weight, so the rule is exact for them.
     """
-    origin = PhasePoint(0.0, 0.0, 0.0, 0.0)
-    c1 = getattr(w1, "center", origin)
-    c2 = getattr(w2, "center", origin)
-    mid = 0.5 * (np.asarray(c1, dtype=float) + np.asarray(c2, dtype=float))
-    return quadrature.hermite_scheme((order,) * 4, centers=tuple(mid), scales=(1.0,) * 4)
+    dims = len(getattr(w1, "center", getattr(w2, "center", (0.0,) * 4)))
+    c1, c2 = (np.asarray(getattr(w, "center", (0.0,) * dims), dtype=float) for w in (w1, w2))
+    mid = 0.5 * (c1 + c2)
+    return quadrature.hermite_scheme((order,) * dims, centers=tuple(mid), scales=(1.0,) * dims)
 
 
 def _checked_nonnegative(state, coords, label: str) -> np.ndarray:
@@ -79,7 +79,7 @@ def _checked_nonnegative(state, coords, label: str) -> np.ndarray:
 
 
 def fidelity_quadrature(w1, w2, scheme: quadrature.QuadratureScheme) -> float:
-    """F = [integral sqrt(W1 W2)]^2 on the given 4D scheme.
+    """F = [integral sqrt(W1 W2)]^2 on the given scheme (4D, or 2D for sectors).
 
     Both states must be pointwise nonnegative; rounding-level dips (above
     -1e-12) are clamped to zero, anything lower raises
@@ -91,7 +91,7 @@ def fidelity_quadrature(w1, w2, scheme: quadrature.QuadratureScheme) -> float:
         v2 = _checked_nonnegative(w2, coords, "second state")
         return np.sqrt(v1 * v2)
 
-    amplitude = quadrature.integrate(integrand, 4, scheme)
+    amplitude = quadrature.integrate(integrand, scheme.dims, scheme)
     return amplitude * amplitude
 
 
@@ -140,7 +140,8 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     form="consistent" moves the center with the canonical flow of params;
     form="paper" (trapped system with omega0 = 1 only) uses the printed
     unit-weight rotation family.  The closed and quadrature routes are both
-    evaluated at every time so their agreement is part of the output.
+    evaluated at every time so their agreement is part of the output; the
+    quadrature value is the product of the two order^2 sector overlaps.
     """
     times = np.asarray(times, dtype=float)
     if form not in ("consistent", "paper"):
@@ -154,11 +155,11 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     else:
         ct = evolve(TrajectorySolution(params, c0), times)
     closed = fidelity_gaussian_closed(c0, ct)
-    w0 = GaussianWigner(c0)
-    quad = np.empty_like(times)
+    sectors0 = GaussianWigner(c0).sectors()
+    quad = np.ones_like(times)
     for i, center in enumerate(ct.as_array()):
-        wt = GaussianWigner(PhasePoint(*center))
-        quad[i] = fidelity_quadrature(w0, wt, default_fidelity_scheme(w0, wt, order))
+        for (s0, _), (st, _) in zip(sectors0, GaussianWigner(PhasePoint(*center)).sectors()):
+            quad[i] *= fidelity_quadrature(s0, st, default_fidelity_scheme(s0, st, order))
     paper = fidelity_ho_paper(params.omega, times, c0) if is_ho_unit else None
     return FidelityCurve(times=times, closed=closed, quad=quad, paper=paper,
                          abs_diff=np.abs(closed - quad))
@@ -217,11 +218,11 @@ def entropy_vs_field(kind: SystemKind, b0_values, *, mass: float = 1.0, hbar: fl
                      convention: EntropyConvention = EntropyConvention.RAW_BOX):
     """Ground-state entropy as a function of the field strength.
 
-    Trapped system: the ground state is a product W_x W_y over two sectors,
-    so on a product box the 4D entropy is M_y S_x + M_x S_y, with M the box
-    mass of |W| of each sector (cheap and exact; in the normalized
-    convention both masses are 1).  Free system: Landau ground level, full
-    4D box.  Returns a list of (b0, entropy) pairs.
+    The ground state is a product W_a W_b over two phase-space planes: the
+    trap's (x, px) x (y, py), the Landau level's (x, py) x (y, px).  So on a
+    product box the 4D entropy is M_b S_a + M_a S_b, with M the box mass of
+    |W| of each sector (in the normalized convention both masses are 1).
+    Returns a list of (b0, entropy) pairs.
     """
     L = float(box_half_width)
     rows = []
@@ -231,18 +232,16 @@ def entropy_vs_field(kind: SystemKind, b0_values, *, mass: float = 1.0, hbar: fl
             params = SystemParams(kind=kind, mass=mass, hbar=hbar, charge=charge,
                                   b0=b0, omega0=omega0)
             state = StationaryHOState(0, 0, params)
-            scheme2 = quadrature.box_scheme((nodes_per_axis,) * 2, [(-L, L)] * 2)
-            wx, wy = state.sector_x(), state.sector_y()
-            sx = shannon_entropy(wx, scheme2, convention).value
-            sy = shannon_entropy(wy, scheme2, convention).value
-            mx, my = ((_box_mass(wx, scheme2), _box_mass(wy, scheme2))
-                      if convention is EntropyConvention.RAW_BOX else (1.0, 1.0))
-            rows.append((b0, my * sx + mx * sy))
         elif kind is SystemKind.FREE_FIELD:
             params = SystemParams(kind=kind, mass=mass, hbar=hbar, charge=charge, b0=b0)
             state = LandauState(0, params, box_half_width=L)
-            scheme4 = quadrature.box_scheme((nodes_per_axis,) * 4, [(-L, L)] * 4)
-            rows.append((b0, shannon_entropy(state, scheme4, convention).value))
         else:
             raise ValueError("entropy sweep is defined for the trapped and free systems")
+        box = quadrature.box_scheme((nodes_per_axis,) * 2, [(-L, L)] * 2)
+        (wa, _), (wb, _) = state.sectors()
+        sa = shannon_entropy(wa, box, convention).value
+        sb = shannon_entropy(wb, box, convention).value
+        ma, mb = ((_box_mass(wa, box), _box_mass(wb, box))
+                  if convention is EntropyConvention.RAW_BOX else (1.0, 1.0))
+        rows.append((b0, mb * sa + ma * sb))
     return rows

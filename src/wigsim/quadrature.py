@@ -28,7 +28,7 @@ __all__ = [
     "NonFiniteIntegrandError",
 ]
 
-# grids larger than this are evaluated in slabs along the first axis;
+# grids larger than this are evaluated one first-axis node at a time;
 # the threshold depends only on the scheme, so chunking is deterministic
 _CHUNK_LIMIT = 2 ** 22
 
@@ -132,54 +132,34 @@ def _axes(scheme: QuadratureScheme):
     return axes
 
 
-def _eval_block(f: Callable, node_axes, shape):
-    """Evaluate f on the broadcast grid and verify finiteness."""
-    grids = [
-        nodes.reshape((1,) * i + (-1,) + (1,) * (len(shape) - i - 1))
-        for i, nodes in enumerate(node_axes)
-    ]
-    vals = np.asarray(f(*grids), dtype=float)
-    vals = np.broadcast_to(vals, shape)
-    if not np.all(np.isfinite(vals)):
-        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(vals))[0])
-        coords = tuple(float(nodes[i]) for nodes, i in zip(node_axes, idx))
-        raise NonFiniteIntegrandError(f"integrand not finite at node {coords}")
-    return vals
-
-
 def integrate(f: Callable, dims: int, scheme: QuadratureScheme) -> float:
     """Integrate f over dims variables with the given scheme.
 
     f is called with dims broadcastable coordinate arrays and must return the
-    broadcast value array.  Evaluation is chunked along the first axis for
-    large grids, with a chunk layout fixed by the scheme.
+    broadcast value array.  It is evaluated in chunks along the first axis:
+    the whole axis at once, or one node per chunk on grids above
+    _CHUNK_LIMIT, a layout fixed by the scheme.
     """
     if dims != scheme.dims:
         raise ValueError(f"scheme has {scheme.dims} axes, integrand expects {dims}")
     axes = _axes(scheme)
-    nodes0, weights0 = axes[0]
-    rest = axes[1:]
-    total = int(np.prod([len(n) for n, _ in axes]))
-
-    if total <= _CHUNK_LIMIT or not rest:
-        shape = tuple(len(n) for n, _ in axes)
-        vals = _eval_block(f, [n for n, _ in axes], shape)
+    (nodes0, weights0), rest = axes[0], axes[1:]
+    size = math.prod(len(nodes) for nodes, _ in axes)
+    step = len(nodes0) if size <= _CHUNK_LIMIT or not rest else 1
+    total = 0.0
+    for lo in range(0, len(nodes0), step):
+        chunk = [(nodes0[lo:lo + step], weights0[lo:lo + step])] + rest
+        grids = [nodes.reshape((1,) * i + (-1,) + (1,) * (dims - i - 1))
+                 for i, (nodes, _) in enumerate(chunk)]
+        vals = np.broadcast_to(np.asarray(f(*grids), dtype=float), tuple(g.size for g in grids))
+        if not np.all(np.isfinite(vals)):
+            idx = np.argwhere(~np.isfinite(vals))[0]
+            node = tuple(float(nodes[i]) for (nodes, _), i in zip(chunk, idx))
+            raise NonFiniteIntegrandError(f"integrand not finite at node {node}")
         for axis in range(dims - 1, -1, -1):
-            vals = np.tensordot(vals, axes[axis][1], axes=([axis], [0]))
-        return float(vals)
-
-    # slab over the first axis, one node at a time
-    rest_shape = tuple(len(n) for n, _ in rest)
-    acc = 0.0
-    for i0 in range(len(nodes0)):
-        def slab(*coords, _x0=nodes0[i0]):
-            return f(np.asarray(_x0), *coords)
-
-        vals = _eval_block(slab, [n for n, _ in rest], rest_shape)
-        for axis in range(len(rest) - 1, -1, -1):
-            vals = np.tensordot(vals, rest[axis][1], axes=([axis], [0]))
-        acc += weights0[i0] * float(vals)
-    return acc
+            vals = np.tensordot(vals, chunk[axis][1], axes=([axis], [0]))
+        total += float(vals)
+    return total
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .specfun import _unwrap_scalar, airy_ai, airy_zero, laguerre
 
 __all__ = [
     "TruncationError",
+    "ProductState",
     "Gaussian2D",
     "GaussianWigner",
     "StationaryHOState",
@@ -38,20 +39,47 @@ class TruncationError(RuntimeError):
     """Declared domain too small: the truncated integral has not converged."""
 
 
-class Gaussian2D:
-    """Unit-width Gaussian over one (coordinate, momentum) sector."""
+class HOSector:
+    """Gaussian factor over one plane (a, b), (da, db) taken from the center:
+    norm / (pi hbar) * exp[-(ratio da^2 + cross da db + db^2 / ratio) / hbar].
+    Trap ground-state sectors have ratio = lam/kappa = m big_omega, cross = 0;
+    a Landau ridge has cross = -+2 and is flat along one direction."""
 
-    def __init__(self, center=(0.0, 0.0)):
+    def __init__(self, ratio: float, hbar: float, center=(0.0, 0.0), cross: float = 0.0,
+                 norm: float = 1.0):
+        self.ratio = float(ratio)
+        self.hbar = float(hbar)
         self.center = (float(center[0]), float(center[1]))
+        self.cross = float(cross)
+        self.norm = float(norm)
 
     def value(self, a, b):
         da = np.asarray(a, dtype=float) - self.center[0]
         db = np.asarray(b, dtype=float) - self.center[1]
-        out = np.exp(-da * da - db * db) / math.pi
+        arg = (self.ratio * da * da + self.cross * da * db + db * db / self.ratio) / self.hbar
+        out = self.norm * np.exp(-arg) / (math.pi * self.hbar)
         return _unwrap_scalar(out)
 
 
-class GaussianWigner:
+class Gaussian2D(HOSector):
+    """Unit-width Gaussian over one (coordinate, momentum) sector."""
+
+    def __init__(self, center=(0.0, 0.0)):
+        super().__init__(1.0, 1.0, center)
+
+
+class ProductState:
+    """A 4D state W_a W_b: sectors() gives each 2D factor with the (x, y, px, py)
+    indices of its two arguments, or raises ValueError on a non-product level."""
+
+    def sector_x(self):
+        return self.sectors()[0][0]
+
+    def sector_y(self):
+        return self.sectors()[1][0]
+
+
+class GaussianWigner(ProductState):
     """Unit-width Gaussian Wigner function centered at a phase point.
 
     W(z) = exp(-|z - c|^2) / pi^2.  Time evolution of this family is rigid
@@ -70,11 +98,9 @@ class GaussianWigner:
         out = np.exp(-(dx * dx + dy * dy + dpx * dpx + dpy * dpy)) / math.pi ** 2
         return _unwrap_scalar(out)
 
-    def sector_x(self) -> Gaussian2D:
-        return Gaussian2D((self.center.x, self.center.px))
-
-    def sector_y(self) -> Gaussian2D:
-        return Gaussian2D((self.center.y, self.center.py))
+    def sectors(self):
+        c = self.center
+        return (Gaussian2D((c.x, c.px)), (0, 2)), (Gaussian2D((c.y, c.py)), (1, 3))
 
 
 def _quad_forms(params: SystemParams, x, y, px, py):
@@ -89,24 +115,7 @@ def _quad_forms(params: SystemParams, x, y, px, py):
     return quad - 2.0 * lz, quad + 2.0 * lz
 
 
-class HOSector:
-    """One (coordinate, momentum) sector of the trapped ground state."""
-
-    def __init__(self, ratio: float, hbar: float, center=(0.0, 0.0)):
-        # ratio = lam/kappa = m * big_omega
-        self.ratio = float(ratio)
-        self.hbar = float(hbar)
-        self.center = (float(center[0]), float(center[1]))
-
-    def value(self, a, b):
-        da = np.asarray(a, dtype=float) - self.center[0]
-        db = np.asarray(b, dtype=float) - self.center[1]
-        arg = (self.ratio * da * da + db * db / self.ratio) / self.hbar
-        out = np.exp(-arg) / (math.pi * self.hbar)
-        return _unwrap_scalar(out)
-
-
-class StationaryHOState:
+class StationaryHOState(ProductState):
     """Stationary Wigner function of the trapped charge in a field.
 
     W_{n1,n2} = (-1)^{n1+n2} / (pi hbar)^2 * exp[-(lam/kap r^2 + kap/lam p^2)/hbar]
@@ -150,15 +159,12 @@ class StationaryHOState:
     def energy(self) -> float:
         return ho_energy(self.n1, self.n2, self.params)
 
-    def sector_x(self) -> HOSector:
+    def sectors(self):
+        """(x, px) x (y, py), ground state only."""
         if self.n1 or self.n2:
             raise ValueError("sector factorization only holds for the ground state")
-        return HOSector(self.params.lam / self.params.kappa, self.params.hbar)
-
-    def sector_y(self) -> HOSector:
-        if self.n1 or self.n2:
-            raise ValueError("sector factorization only holds for the ground state")
-        return HOSector(self.params.lam / self.params.kappa, self.params.hbar)
+        sector = HOSector(self.params.lam / self.params.kappa, self.params.hbar)
+        return (sector, (0, 2)), (sector, (1, 3))
 
 
 def ho_energy(n1: int, n2: int, params: SystemParams) -> float:
@@ -168,7 +174,7 @@ def ho_energy(n1: int, n2: int, params: SystemParams) -> float:
     return params.hbar * (params.big_omega * (n1 + n2 + 1) + params.omega * (n1 - n2))
 
 
-class LandauState:
+class LandauState(ProductState):
     """Landau-level Wigner function of the free charge in a field.
 
     W_n = norm * (-1)^n / (pi hbar) * exp(-Omega/hbar) * L_n(Omega/hbar)
@@ -207,6 +213,16 @@ class LandauState:
     def energy(self) -> float:
         return landau_energy(self.n, self.params)
 
+    def sectors(self):
+        """Omega = u^2 + v^2 with u = a x - py/a, v = a y + px/a, a^2 = m omega:
+        ridges over (x, py) and (y, px), the latter carrying 1/(pi hbar)."""
+        if self.n:
+            raise ValueError("sector factorization only holds for the lowest Landau level")
+        p = self.params
+        ratio = p.lam / p.kappa
+        return ((HOSector(ratio, p.hbar, cross=-2.0, norm=self.norm * math.pi * p.hbar), (0, 3)),
+                (HOSector(ratio, p.hbar, cross=2.0), (1, 2)))
+
     def box_scheme(self, nodes_per_axis: int = 101) -> quadrature.QuadratureScheme:
         L = self.box_half_width
         return quadrature.box_scheme((nodes_per_axis,) * 4, [(-L, L)] * 4)
@@ -240,10 +256,6 @@ class GQWYSector:
 
     def __init__(self, state: "GQWState"):
         self._s = state
-
-    @property
-    def norm(self) -> float:
-        return self._s.norm
 
     def value_xi(self, xi):
         s = self._s
@@ -304,6 +316,9 @@ class GQWState:
     def value(self, x, y, px, py):
         out = np.asarray(self.sector_x.value(x, px)) * np.asarray(self.sector_y.value(y, py))
         return _unwrap_scalar(out)
+
+    def sectors(self):
+        return (self.sector_x, (0, 2)), (self.sector_y, (1, 3))
 
     def with_x_center(self, x_center) -> "GQWState":
         """Same level and domain, x-sector recentered (used for transport)."""

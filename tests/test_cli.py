@@ -370,6 +370,7 @@ _NOT_FLAGS = {"command", "wigsim_version", "epsilon_convention", "time_variable"
     ("entropy", "--system", "both", "--b0", "0.5", "--quad-order", "5"),
     ("spectrum", "--system", "gqw", "--n-max", "2"),
     ("ncmap", "--system", "gqw", "--theta", "0.1", "--eta", "0.2"),
+    pytest.param(("ncmap", "--system", "gqw", "--x0", "2"), id="ncmap-gqw-x0"),
 ], ids=lambda argv: argv[0])
 def test_header_reruns_to_same_output(capsys, argv):
     # the default t_end = 4 pi is not exact at 12 digits, so the header must

@@ -258,3 +258,11 @@ def test_flow_map_array_matches_scalar_calls(params):
 def test_non_finite_initial_point_rejected(initial):
     with pytest.raises(ValueError, match="finite"):
         evolve(sol(ho_params(b0=0.5), initial), np.linspace(0.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("t", [math.inf, np.array([0.0, math.nan, 1.0])],
+                         ids=["scalar-inf", "array-nan"])
+@pytest.mark.parametrize("params", FLOW_CASES, ids=FLOW_IDS)
+def test_non_finite_time_rejected(params, t):
+    with pytest.raises(ValueError, match="finite"):
+        evolve(sol(params, PhasePoint(1.0, 1.0, 1.0, 1.0)), t)

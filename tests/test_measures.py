@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wigsim.dynamics import TrajectorySolution, evolve
 from wigsim.measures import (
     EntropyConvention,
     WignerNegativityError,
@@ -119,6 +120,12 @@ class TestPaperForm:
     def test_unity_at_zero(self):
         assert fidelity_ho_paper(0.5, 0.0, C0) == pytest.approx(1.0, rel=1e-15)
 
+    @pytest.mark.parametrize("t", [math.inf, np.array([0.0, math.nan, 1.0])],
+                             ids=["scalar-inf", "array-nan"])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            paper_form_point(0.5, t, C0)
+
     def test_period_without_field(self):
         # omega = 0: pure oscillation, full revival at t = 2 pi
         assert fidelity_ho_paper(0.0, 2 * math.pi, C0) == pytest.approx(1.0, rel=1e-12)
@@ -147,6 +154,36 @@ class TestFidelityCurve:
         curve = fidelity_curve(free, C0, np.linspace(0.0, 1.0, 3), order=16)
         assert curve.paper is None
         assert np.all(curve.abs_diff <= 1e-10)
+
+    @pytest.mark.parametrize("system, form", [
+        ("ho", "consistent"), ("ho", "paper"), ("free", "consistent"),
+        ("gqw", "consistent"), ("gqw-b", "consistent"),
+    ])
+    def test_sector_product_matches_4d_oracle(self, system, form):
+        params = {
+            "ho": SystemParams(kind=SystemKind.HO_FIELD, b0=0.5, omega0=1.0),
+            "free": SystemParams(kind=SystemKind.FREE_FIELD, b0=0.5),
+            "gqw": SystemParams(kind=SystemKind.GQW_BALLISTIC, g=0.3),
+            "gqw-b": SystemParams(kind=SystemKind.GQW_FIELD, b0=0.5, g=0.3),
+        }[system]
+        c0 = PhasePoint(0.3, -0.7, 1.1, 0.4)
+        ts = np.linspace(0.0, 6.0, 7)
+        curve = fidelity_curve(params, c0, ts, order=8, form=form)
+        ct = (paper_form_point(params.omega, ts, c0) if form == "paper"
+              else evolve(TrajectorySolution(params, c0), ts))
+        w0 = GaussianWigner(c0)
+        for i, center in enumerate(ct.as_array()):
+            wt = GaussianWigner(PhasePoint(*center))
+            want = fidelity_quadrature(w0, wt, default_fidelity_scheme(w0, wt, 8))
+            assert curve.quad[i] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("form", ["consistent", "paper"])
+    @pytest.mark.parametrize("times", [math.inf, np.array([0.0, math.nan, 1.0])],
+                             ids=["scalar-inf", "array-nan"])
+    def test_non_finite_time_rejected(self, form, times):
+        p = SystemParams(kind=SystemKind.HO_FIELD, b0=0.5, omega0=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            fidelity_curve(p, C0, times, order=2, form=form)
 
     def test_unknown_form_rejected(self):
         p = SystemParams(kind=SystemKind.HO_FIELD, omega0=1.0)
@@ -217,15 +254,20 @@ class TestEntropyVsField:
         # the raw box entropy of the lowest Landau level is linear in b0
         assert values[0] / values[2] == pytest.approx(0.1, rel=0.02)
 
+    @pytest.mark.parametrize("kind", [SystemKind.HO_FIELD, SystemKind.FREE_FIELD],
+                             ids=["ho", "free"])
     @pytest.mark.parametrize("convention", list(EntropyConvention))
     @pytest.mark.parametrize("half_width", [1.0, 2.0, 8.0])
-    def test_trap_sector_route_matches_4d_box(self, half_width, convention):
-        # boxes of half-width 1 and 2 truncate the ground state, so each
-        # sector's box mass is below 1 and enters the raw sector sum
-        rows = entropy_vs_field(SystemKind.HO_FIELD, [0.5], box_half_width=half_width,
+    def test_trap_sector_route_matches_4d_box(self, half_width, convention, kind):
+        # the sweep's sector route against the 4D oracle, for the trap ground
+        # state and the lowest Landau level; boxes of half-width 1 and 2
+        # truncate the state, so each sector's box mass enters the raw sum
+        rows = entropy_vs_field(kind, [0.5], box_half_width=half_width,
                                 nodes_per_axis=41, convention=convention)
-        state = StationaryHOState(0, 0, SystemParams(kind=SystemKind.HO_FIELD, b0=0.5,
-                                                     omega0=1.0))
+        if kind is SystemKind.HO_FIELD:
+            state = StationaryHOState(0, 0, SystemParams(kind=kind, b0=0.5, omega0=1.0))
+        else:
+            state = LandauState(0, SystemParams(kind=kind, b0=0.5), box_half_width=half_width)
         box = box_scheme((41,) * 4, [(-half_width, half_width)] * 4)
         want = shannon_entropy(state, box, convention).value
         assert rows[0][1] == pytest.approx(want, rel=1e-12)
@@ -253,7 +295,8 @@ class TestEntropyVsField:
         box = box_scheme((21,) * 4, [(-half_width, half_width)] * 4)
         rows = entropy_vs_field(SystemKind.FREE_FIELD, [0.5], box_half_width=half_width,
                                 nodes_per_axis=21)
-        assert rows[0][1] == shannon_entropy(state, box).value
+        # the sweep sums over the two Landau ridges, the oracle over the 4D box
+        assert rows[0][1] == pytest.approx(shannon_entropy(state, box).value, rel=1e-12)
 
     def test_gravitational_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -96,6 +96,33 @@ def test_chunked_matches_unchunked(monkeypatch):
     assert pieces == pytest.approx(whole, rel=1e-13)
 
 
+def test_chunked_error_names_every_coordinate():
+    # 46^4 nodes are above the chunk limit, so the first axis runs one node
+    # per chunk; the inf sits in the first chunk, which is the only one run
+    sch = box_scheme((46,) * 4, [(-1.0, 1.0)] * 4)
+    assert math.prod(sch.orders) > quad._CHUNK_LIMIT
+    calls = []
+
+    def spike(x, y, px, py):
+        calls.append(np.shape(x))
+        return np.where((x < -0.97) & (y < -0.97), np.inf, 1.0) + 0.0 * (px + py)
+
+    with pytest.raises(NonFiniteIntegrandError) as err:
+        integrate(spike, 4, sch)
+    assert calls == [(1, 1, 1, 1)]
+    node = str(err.value).split("node ", 1)[1]
+    assert node.count(",") == 3
+    assert node.startswith("(-0.978")
+
+
+@pytest.mark.parametrize("limit", [10 ** 6, 64], ids=["one-chunk", "per-node"])
+def test_integrate_returns_float(monkeypatch, limit):
+    monkeypatch.setattr(quad, "_CHUNK_LIMIT", limit)
+    val = integrate(gauss2, 2, hermite_scheme((12, 12)))
+    assert type(val) is float
+    assert val == pytest.approx(math.pi, rel=1e-12)
+
+
 def test_integrate_deterministic():
     sch = hermite_scheme((32, 32), centers=(0.3, -0.2))
     a = integrate(gauss2, 2, sch)

@@ -281,6 +281,38 @@ class TestGQW:
             GQWState(1, landau_params())
 
 
+class TestSectors:
+    """sectors(): the two factors and the axes they act on multiply back to
+    the 4D state; levels that are not products have none."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: GaussianWigner(PhasePoint(1.0, -0.5, 0.3, 2.0)),
+        lambda: StationaryHOState(0, 0, SystemParams(kind=SystemKind.HO_FIELD, mass=1.7,
+                                                     hbar=0.6, b0=0.8, omega0=1.3)),
+        lambda: LandauState(0, SystemParams(kind=SystemKind.FREE_FIELD, mass=1.7, hbar=0.6,
+                                            charge=2.3, b0=0.5), norm=3.0),
+        lambda: GQWState(1, gqw_params(), x_center=(0.4, -0.2)),
+    ], ids=["gaussian", "trap", "landau", "gqw"])
+    def test_product_is_the_state(self, make):
+        state = make()
+        rng = np.random.default_rng(13)
+        pts = rng.uniform(-2.0, 2.0, (4, 200))
+        pts[1] = rng.uniform(0.0, 2.0, 200)      # inside the GQW y domain
+        (wa, axes_a), (wb, axes_b) = state.sectors()
+        assert sorted(axes_a + axes_b) == [0, 1, 2, 3]
+        got = wa.value(*pts[list(axes_a)]) * wb.value(*pts[list(axes_b)])
+        assert np.allclose(got, state.value(*pts), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: StationaryHOState(1, 0, trap_params(b0=0.5)),
+        lambda: StationaryHOState(0, 2, trap_params(b0=0.5)),
+        lambda: LandauState(1, landau_params()),
+    ], ids=["trap-1-0", "trap-0-2", "landau-1"])
+    def test_excited_levels_have_no_sectors(self, make):
+        with pytest.raises(ValueError):
+            make().sectors()
+
+
 class TestStarGen:
     def test_residual_small_on_shell(self):
         state = GQWState(1, gqw_params())
