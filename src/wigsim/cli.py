@@ -36,10 +36,16 @@ _EPS_NOTE = "eps12=+1; cross term omega*(px*y - py*x)"
 _DEFAULT_B0 = "0, 0.1, 0.5, 1"
 _ENTROPY_B0 = "0.1, 0.25, 0.5, 0.75, 1"
 _T_END_DEFAULT = 4.0 * math.pi
+# most output rows one run may ask for, checked before anything is allocated
+_ROW_BUDGET = 10 ** 6
 
 
 class ConfigError(Exception):
     """Malformed config input (unknown key, bad syntax, unreadable file)."""
+
+
+class NonFiniteCellError(ArithmeticError):
+    """A table cell came out as NaN or infinity."""
 
 
 def _float_list(text: str):
@@ -269,66 +275,57 @@ def _config(command: str, ns, keys, **values) -> dict:
     return cfg
 
 
+def _check_rows(n_rows: int) -> None:
+    if n_rows > _ROW_BUDGET:
+        raise ValueError(f"the run asks for {n_rows} output rows; at most {_ROW_BUDGET} allowed")
+
+
+def _time_table(ns, b0_list):
+    """Sample times of a run and its (b0, tau) columns, b0 slowest."""
+    _check_rows(ns.t_steps * len(b0_list))
+    times = TimeGrid(ns.t_start, ns.t_end, ns.t_steps).times()
+    return times, {"b0": np.repeat(b0_list, len(times)), "tau": np.tile(times, len(b0_list))}
+
+
 def _run_fidelity(ns):
     b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
     c0 = _initial_point(ns)
-    times = TimeGrid(ns.t_start, ns.t_end, ns.t_steps).times()
+    times, table = _time_table(ns, b0_list)
     if ns.quad_order < 1:
         raise ValueError("quad-order must be positive")
     if ns.fidelity_form == "paper" and ns.system != "ho":
         raise ValueError("fidelity-form 'paper' applies to the trapped system (ho) only")
 
-    rows = []
-    has_paper = False
-    for b0 in b0_list:
-        params = _make_params(ns.system, b0, ns)
-        form = ns.fidelity_form if ns.system == "ho" else "consistent"
-        curve = measures.fidelity_curve(params, c0, times, order=ns.quad_order, form=form)
-        has_paper = has_paper or curve.paper is not None
-        for j, t in enumerate(times):
-            row = {
-                "b0": b0,
-                "tau": float(t),
-                "f_closed": float(curve.closed[j]),
-                "f_quadrature": float(curve.quad[j]),
-                "abs_diff": float(curve.abs_diff[j]),
-            }
-            if curve.paper is not None:
-                row["f_paper"] = float(curve.paper[j])
-            rows.append(row)
-
-    columns = ["b0", "tau", "f_closed", "f_quadrature"]
+    form = ns.fidelity_form if ns.system == "ho" else "consistent"
+    curves = [measures.fidelity_curve(_make_params(ns.system, b0, ns), c0, times,
+                                      order=ns.quad_order, form=form) for b0 in b0_list]
+    table["f_closed"] = np.concatenate([c.closed for c in curves])
+    table["f_quadrature"] = np.concatenate([c.quad for c in curves])
+    # every curve of one run is of the same form, so all or none have f_paper
+    has_paper = curves[0].paper is not None
     if has_paper:
-        columns.append("f_paper")
-    columns.append("abs_diff")
+        table["f_paper"] = np.concatenate([c.paper for c in curves])
+    table["abs_diff"] = np.concatenate([c.abs_diff for c in curves])
 
     cfg = _config("fidelity", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", *_FLOW_KEYS,
                                    "quad_order", "fidelity_form", "epsilon_convention",
                                    "time_variable"), b0=b0_list)
     if has_paper:
         cfg["f_paper_note"] = "printed omega0=1 family (unit-weight rotation)"
-    return columns, rows, cfg
+    return table, cfg
 
 
 def _run_trajectory(ns):
     b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
     c0 = _initial_point(ns)
-    times = TimeGrid(ns.t_start, ns.t_end, ns.t_steps).times()
-    rows = []
-    for b0 in b0_list:
-        params = _make_params(ns.system, b0, ns)
-        pt = evolve(TrajectorySolution(params, c0), times)
-        arr = pt.as_array()
-        for j, t in enumerate(times):
-            rows.append({
-                "b0": b0, "tau": float(t),
-                "x": float(arr[j, 0]), "y": float(arr[j, 1]),
-                "px": float(arr[j, 2]), "py": float(arr[j, 3]),
-            })
-    columns = ["b0", "tau", "x", "y", "px", "py"]
+    times, table = _time_table(ns, b0_list)
+    points = np.concatenate([
+        evolve(TrajectorySolution(_make_params(ns.system, b0, ns), c0), times).as_array()
+        for b0 in b0_list])
+    table.update(zip(("x", "y", "px", "py"), points.T))
     cfg = _config("trajectory", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", *_FLOW_KEYS,
                                      "epsilon_convention", "time_variable"), b0=b0_list)
-    return columns, rows, cfg
+    return table, cfg
 
 
 def _run_entropy(ns):
@@ -344,63 +341,62 @@ def _run_entropy(ns):
     convention = (measures.EntropyConvention.RAW_BOX if ns.entropy_convention == "raw"
                   else measures.EntropyConvention.NORMALIZED_BOX)
     systems = ["ho", "free"] if ns.system == "both" else [ns.system]
-    rows = []
+    pairs = []
     for name in systems:
         kind = SystemKind.HO_FIELD if name == "ho" else SystemKind.FREE_FIELD
-        pairs = measures.entropy_vs_field(
+        pairs += measures.entropy_vs_field(
             kind, b0_list, mass=ns.mass, hbar=ns.hbar, charge=ns.charge, omega0=omega0,
             box_half_width=ns.box_half_width, nodes_per_axis=ns.quad_order,
             convention=convention,
         )
-        for b0, value in pairs:
-            rows.append({"system": name, "b0": b0, "entropy": value,
-                         "convention": ns.entropy_convention})
-    columns = ["system", "b0", "entropy", "convention"]
+    b0s, values = zip(*pairs)
+    table = {"system": np.repeat(systems, len(b0_list)), "b0": b0s, "entropy": values,
+             "convention": [ns.entropy_convention] * len(pairs)}
     cfg = _config("entropy", ns, ("system", "b0", *_PHYSICS_KEYS, "quad_order",
                                   "box_half_width", "entropy_convention", "epsilon_convention"),
                   b0=b0_list, omega0=omega0)
-    return columns, rows, cfg
+    return table, cfg
 
 
 def _run_spectrum(ns):
     if ns.n_max < 0:
         raise ValueError("n-max must be nonnegative")
     b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
-    rows = []
+    n_levels = ns.n_max + 1
     if ns.system == "ho":
         if ns.gravity not in (None, 0.0):
             raise ValueError("gravity does not apply to the trapped spectrum")
-        columns = ["b0", "n1", "n2", "energy"]
-        for b0 in b0_list:
-            params = _make_params("ho", b0, ns)
-            for n1 in range(ns.n_max + 1):
-                for n2 in range(ns.n_max + 1):
-                    rows.append({"b0": b0, "n1": n1, "n2": n2,
-                                 "energy": wigner.ho_energy(n1, n2, params)})
+        _check_rows(n_levels ** 2 * len(b0_list))
+        n1, n2 = np.divmod(np.arange(n_levels ** 2), n_levels)
+        params = [_make_params("ho", b0, ns) for b0 in b0_list]
+        table = {"b0": np.repeat(b0_list, n_levels ** 2), "n1": np.tile(n1, len(b0_list)),
+                 "n2": np.tile(n2, len(b0_list)),
+                 "energy": [wigner.ho_energy(a, b, p) for p in params
+                            for a, b in zip(n1.tolist(), n2.tolist())]}
         b0_used = b0_list
     elif ns.system == "free":
         if ns.gravity not in (None, 0.0):
             raise ValueError("gravity does not apply to the free spectrum")
-        columns = ["b0", "n", "energy"]
         b0_used = [b0 for b0 in b0_list if b0 > 0]
         if not b0_used:
             raise ValueError("the Landau ladder needs at least one positive b0")
-        for b0 in b0_used:
-            params = _make_params("free", b0, ns)
-            for n in range(ns.n_max + 1):
-                rows.append({"b0": b0, "n": n, "energy": wigner.landau_energy(n, params)})
+        _check_rows(n_levels * len(b0_used))
+        params = [_make_params("free", b0, ns) for b0 in b0_used]
+        table = {"b0": np.repeat(b0_used, n_levels),
+                 "n": np.tile(np.arange(n_levels), len(b0_used)),
+                 "energy": [wigner.landau_energy(n, p) for p in params for n in range(n_levels)]}
     else:
         # gravitational levels are field-independent; the b0 list is unused
         if ns.n_max < 1:
             raise ValueError("gravitational levels start at n_y = 1; n-max must be >= 1")
-        columns = ["n_y", "energy"]
+        _check_rows(ns.n_max)
         params = SystemParams(kind=SystemKind.GQW_BALLISTIC, mass=ns.mass, hbar=ns.hbar,
                               charge=ns.charge, g=_resolve_gravity(ns, "gqw"))
-        for n_y in range(1, ns.n_max + 1):
-            rows.append({"n_y": n_y, "energy": wigner.gqw_energy(n_y, params)})
+        n_y = np.arange(1, ns.n_max + 1)
+        table = {"n_y": n_y, "energy": wigner.gqw_energy(n_y, params)}
         b0_used = []
     cfg = _config("spectrum", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", "n_max"), b0=b0_used)
-    return columns, rows, cfg
+    return table, cfg
 
 
 def _run_ncmap(ns):
@@ -427,11 +423,10 @@ def _run_ncmap(ns):
         row["x0_mapped"] = mapped.x
     row["s_aux"] = auxiliary_s(ns.mu, ns.nu)
     row["sigma_invertible"] = sigma_invertible(nc, ns.hbar)
-    columns = list(row.keys())
     initial = ("x0", "y0", "px0", "py0") if ns.system == "gqw" else ()
     cfg = _config("ncmap", ns, ("system", "theta", "eta", "mu", "nu", *_PHYSICS_KEYS,
                                 "gravity", *initial))
-    return columns, [row], cfg
+    return {key: [value] for key, value in row.items()}, cfg
 
 
 _RUNNERS = {
@@ -444,12 +439,11 @@ _RUNNERS = {
 
 
 def _format_cell(value) -> str:
+    """A str, int or bool cell or config value as CSV text."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.12g}"
     return str(value)
 
 
@@ -467,14 +461,9 @@ def _config_line(value) -> str:
 
 
 def _json_value(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, np.integer)):
+    """A str, int or bool cell or config value as a JSON-ready value."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
     return value
 
 
@@ -486,20 +475,41 @@ def _json_config(value):
     return _json_value(value)
 
 
-def _render(fmt: str, command: str, config: dict, columns, rows) -> str:
+def _column_cells(name: str, column, fmt: str) -> list:
+    """The cells of one column as CSV or JSON text.
+
+    Floats are written at 12 significant digits; in JSON as the repr of the
+    float those digits read back as, which is what json.dumps writes for it.
+    """
+    column = np.asarray(column)
+    if column.dtype.kind != "f":
+        values = column.tolist()
+        if fmt == "csv":
+            return [_format_cell(v) for v in values]
+        return [json.dumps(_json_value(v)) for v in values]
+    if not np.isfinite(column).all():
+        raise NonFiniteCellError(f"column {name!r} has a non-finite value")
+    cells = list(map("{:.12g}".format, column.tolist()))
+    return cells if fmt == "csv" else [repr(float(c)) for c in cells]
+
+
+def _render(fmt: str, command: str, config: dict, table: dict) -> str:
+    """A run's output text; table maps each column name to its cells."""
+    columns = [_column_cells(name, col, fmt) for name, col in table.items()]
     if fmt == "csv":
         lines = [f"# wigsim {command}"]
         for key, value in config.items():
             lines.append(f"# {key} = {_config_line(value)}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_format_cell(row[c]) for c in columns))
+        lines.append(",".join(table))
+        lines.extend(map(",".join, zip(*columns)))
         return "\n".join(lines) + "\n"
-    doc = {
-        "config": {k: _json_config(v) for k, v in config.items()},
-        "rows": [{c: _json_value(row[c]) for c in columns} for row in rows],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    # the layout json.dumps(doc, indent=2) gives, with each row from one template
+    head = json.dumps({"config": {k: _json_config(v) for k, v in config.items()}}, indent=2)
+    keys = (json.dumps(name).replace("%", "%%") for name in table)
+    row = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+    rows = ",\n".join(row % cells for cells in zip(*columns))
+    body = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{head[:-2]},\n  "rows": {body}\n}}\n'
 
 
 def main(argv=None) -> int:
@@ -517,7 +527,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
 
     try:
-        columns, rows, config = _RUNNERS[ns.command](ns)
+        table, config = _RUNNERS[ns.command](ns)
+        config["format"] = ns.format
+        text = _render(ns.format, ns.command, config, table)
     except ConfigError as exc:
         print(f"error: E_PARSE: {exc}", file=sys.stderr)
         return 2
@@ -525,12 +537,10 @@ def main(argv=None) -> int:
         print(f"error: E_RANGE: {exc}", file=sys.stderr)
         return 2
     except (quadrature.NonFiniteIntegrandError, measures.WignerNegativityError,
-            wigner.TruncationError) as exc:
+            wigner.TruncationError, NonFiniteCellError) as exc:
         print(f"error: E_NUMERIC: {exc}", file=sys.stderr)
         return 3
 
-    config["format"] = ns.format
-    text = _render(ns.format, ns.command, config, columns, rows)
     if ns.out == "-":
         sys.stdout.write(text)
     else:

@@ -143,7 +143,7 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     evaluated at every time so their agreement is part of the output; the
     quadrature value is the product of the two order^2 sector overlaps.
     """
-    times = np.asarray(times, dtype=float)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     if form not in ("consistent", "paper"):
         raise ValueError("form must be 'consistent' or 'paper'")
     is_ho_unit = params.kind is SystemKind.HO_FIELD and params.omega0 == 1.0

@@ -133,6 +133,13 @@ class SystemParams:
             raise ValueError("gravitational systems have no trap (omega0 must be 0)")
         if kind is SystemKind.GQW_BALLISTIC and self.b0 != 0:
             raise ValueError("ballistic gravitational system has no field (b0 must be 0)")
+        try:
+            derived = (self.omega, self.lam, self.kappa, self.big_omega)
+        except OverflowError:
+            derived = (math.inf,)
+        if not all(math.isfinite(v) for v in derived):
+            raise ValueError("derived frequencies omega, lam, kappa, big_omega overflow; "
+                             "the parameters are out of range")
 
     @property
     def omega(self) -> float:

@@ -139,37 +139,44 @@ def airy_ai(x):
     return float(out[0]) if scalar else out
 
 
-def airy_zero(n: int) -> float:
+def airy_zero(n):
     """n-th negative zero a_n of Ai (n = 1, 2, ...), by bisection.
 
-    Brackets come from the asymptotic zero locations, so each bracket
-    isolates exactly one zero.
+    Accepts an integer or an integer array.  Brackets come from the
+    asymptotic zero locations, so each bracket isolates exactly one zero.
+    All brackets are bisected together, one airy_ai call per step, and each
+    one is frozen once it is 1e-14 relative wide (or hits an exact zero).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    idx = np.asarray(n)
+    if idx.dtype.kind not in "iu" or np.any(idx < 1):
         raise ValueError("airy zero index starts at 1")
-    t = 3.0 * math.pi * (4 * n - 1) / 8.0
-    guess = -(t ** (2.0 / 3.0)) * (1.0 + 5.0 / (48.0 * t * t))
-    half = 0.35 * math.pi * t ** (-1.0 / 3.0)
+    # Python-float powers, so every bracket is the same whatever the batch
+    t = [3.0 * math.pi * (4 * k - 1) / 8.0 for k in idx.ravel().tolist()]
+    guess = np.array([-(tk ** (2.0 / 3.0)) * (1.0 + 5.0 / (48.0 * tk * tk)) for tk in t])
+    half = np.array([0.35 * math.pi * tk ** (-1.0 / 3.0) for tk in t])
     lo, hi = guess - half, guess + half
-    flo, fhi = airy_ai(lo), airy_ai(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise RuntimeError(f"airy_zero bracket failed for n={n}")
+    flo, fhi = airy_ai(np.stack((lo, hi)))
+    bad = flo * fhi > 0
+    if bad.any():
+        raise RuntimeError(f"airy_zero bracket failed for n={idx.ravel()[bad].tolist()}")
+    # an end that is an exact zero collapses its bracket onto it
+    hi = np.where(flo == 0.0, lo, hi)
+    lo = np.where(fhi == 0.0, hi, lo)
+    live = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = airy_ai(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        if hi - lo <= 1e-14 * max(1.0, abs(lo)):
+        if live.size == 0:
             break
-    return 0.5 * (lo + hi)
+        a, b = lo[live], hi[live]
+        mid = 0.5 * (a + b)
+        fm = airy_ai(mid)
+        left = flo[live] * fm < 0
+        exact = fm == 0.0
+        a = np.where(left, a, mid)
+        b = np.where(left | exact, mid, b)
+        lo[live], hi[live] = a, b
+        flo[live] = np.where(left, flo[live], fm)
+        live = live[~exact & (b - a > 1e-14 * np.maximum(1.0, np.abs(a)))]
+    return _unwrap_scalar((0.5 * (lo + hi)).reshape(idx.shape))
 
 
 class GaussHermiteRule(NamedTuple):

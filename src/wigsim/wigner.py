@@ -326,9 +326,12 @@ class GQWState:
                         y_max=self.y_max, norm=self.norm)
 
 
-def gqw_energy(n_y: int, params: SystemParams) -> float:
-    """E_{n_y} = -(m g^2 hbar^2 / 2)^{1/3} lambda_{n_y} (positive)."""
-    if n_y < 1:
+def gqw_energy(n_y, params: SystemParams):
+    """E_{n_y} = -(m g^2 hbar^2 / 2)^{1/3} lambda_{n_y} (positive).
+
+    n_y is a level index or an integer array of them (one zero search).
+    """
+    if np.any(np.asarray(n_y) < 1):
         raise ValueError("gravitational level index starts at 1")
     if not params.g > 0:
         raise ValueError("gravitational spectrum requires g > 0")
@@ -339,9 +342,9 @@ def gqw_energy(n_y: int, params: SystemParams) -> float:
 def normalize_gqw(state: GQWState, scheme: quadrature.QuadratureScheme | None = None) -> float:
     """Normalization constant A_n with integral of |W_y| = 1 over the domain.
 
-    Convergence of the truncation is checked by extending the y range to
-    twice y_max at the same node spacing; a relative change above 1e-6
-    raises TruncationError.
+    Convergence of the truncation is checked on the tail box
+    [y_max, 2 y_max - y_lo] at the same node spacing: a tail mass above 1e-6
+    of the total raises TruncationError.
     """
     m = state.params.mass
     g = state.params.g
@@ -359,12 +362,8 @@ def normalize_gqw(state: GQWState, scheme: quadrature.QuadratureScheme | None = 
 
     total = quadrature.integrate(unnormalized, 2, scheme)
     (y_lo, y_hi), p_bounds = scheme.bounds
-    doubled = quadrature.box_scheme(
-        (2 * scheme.orders[0], scheme.orders[1]),
-        [(y_lo, y_hi + (y_hi - y_lo)), p_bounds],
-    )
-    extended = quadrature.integrate(unnormalized, 2, doubled)
-    if abs(extended - total) > 1e-6 * abs(total):
+    tail = quadrature.box_scheme(scheme.orders, [(y_hi, y_hi + (y_hi - y_lo)), p_bounds])
+    if abs(quadrature.integrate(unnormalized, 2, tail)) > 1e-6 * abs(total):
         raise TruncationError(
             "y-sector mass has not converged on the declared domain; increase y_max"
         )
@@ -386,8 +385,9 @@ def stargen_residual(state: GQWState, xi: float, h: float = 5e-4,
     c = p.hbar ** 2 * p.mass * p.g ** 2 / 8.0
     w = state.sector_y.value_xi
     xi = float(xi)
-    second = (w(xi + h) - 2.0 * w(xi) + w(xi - h)) / (h * h)
-    residual = abs(xi * w(xi) - c * second - e_val * w(xi))
+    w0 = w(xi)
+    second = (w(xi + h) - 2.0 * w0 + w(xi - h)) / (h * h)
+    residual = abs(xi * w0 - c * second - e_val * w0)
     grid = np.linspace(0.0, state.xi_max, 2001)
     peak = float(np.max(np.abs(state.sector_y.value_xi(grid))))
     return residual / peak

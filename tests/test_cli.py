@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import wigsim.cli as cli
@@ -292,11 +293,46 @@ def test_entropy_rejects_gravity(capsys):
     ("trajectory", "--x0", "nan", "--t-steps", "3"),
     ("trajectory", "--t-end", "inf", "--t-steps", "3"),
     ("fidelity", "--x0", "inf", "--t-steps", "2", "--quad-order", "2"),
-], ids=["trajectory-x0-nan", "trajectory-t-end-inf", "fidelity-x0-inf"])
+    # derived frequencies that overflow: omega^2, omega0^2, 1 / (2 m)
+    ("trajectory", "--system", "free", "--b0", "1e308", "--t-steps", "3"),
+    ("trajectory", "--system", "ho", "--omega0", "1e200", "--t-steps", "3"),
+    ("trajectory", "--system", "ho", "--mass", "1e-320", "--t-steps", "3"),
+], ids=["trajectory-x0-nan", "trajectory-t-end-inf", "fidelity-x0-inf",
+        "free-b0-1e308", "ho-omega0-1e200", "ho-mass-1e-320"])
 def test_non_finite_input_is_range_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "E_RANGE" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--system", "gqw", "--gravity", "1e200", "--n-max", "2"),
+    ("trajectory", "--system", "gqw", "--b0", "0", "--gravity", "1e308", "--t-steps", "3"),
+], ids=["spectrum-gqw-inf-energy", "trajectory-gqw-inf-drop"])
+def test_non_finite_cell_is_numeric_error(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 3
+    assert "E_NUMERIC" in err
+    assert out == ""
+
+
+# each asks for more rows than the budget allows; none gets far enough to
+# allocate anything of that size
+@pytest.mark.parametrize("argv, rows", [
+    (("trajectory", "--t-steps", "10000000000"), 4 * 10 ** 10),
+    (("fidelity", "--b0", "0.5", "--t-steps", "1000001"), 1000001),
+    (("spectrum", "--system", "ho", "--b0", "0.5", "--n-max", "1000"), 1001 ** 2),
+    (("spectrum", "--system", "free", "--b0", "0, 1, 2", "--n-max", "500000"), 2 * 500001),
+    (("spectrum", "--system", "gqw", "--n-max", "100000000000"), 10 ** 11),
+], ids=["trajectory", "fidelity", "spectrum-ho", "spectrum-free", "spectrum-gqw"])
+def test_row_budget_is_range_error(capsys, argv, rows):
+    assert rows > cli._ROW_BUDGET
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "E_RANGE" in err
+    assert str(rows) in err
     assert out == ""
 
 
@@ -386,3 +422,75 @@ def test_header_reruns_to_same_output(capsys, argv):
     code, again, err = run_cli(capsys, *flags)
     assert code == 0, err
     assert again == out
+
+
+# the row renderer the columnar one replaced, kept as the oracle: one dict per
+# row, each cell formatted on its own
+def _row_format_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def _row_json_value(value):
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    return value
+
+
+def _row_render(fmt, command, config, columns, rows):
+    if fmt == "csv":
+        lines = [f"# wigsim {command}"]
+        for key, value in config.items():
+            lines.append(f"# {key} = {cli._config_line(value)}")
+        lines.append(",".join(columns))
+        for row in rows:
+            lines.append(",".join(_row_format_cell(row[c]) for c in columns))
+        return "\n".join(lines) + "\n"
+    doc = {
+        "config": {k: cli._json_config(v) for k, v in config.items()},
+        "rows": [{c: _row_json_value(row[c]) for c in columns} for row in rows],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_RENDER_CONFIG = {"command": "spectrum", "wigsim_version": "0.1.0", "system": "gqw",
+                  "b0": [0.0, 0.1, 1e-05], "empty": [], "mass": 1.0, "t_end": 4.0 * math.pi,
+                  "n_max": 12, "note": 'quote " and %s', "format": "csv"}
+_FLOATS = [-0.0, 1e-05, 1e16, 123456789012.0, 0.1, -2.5e-300, 4.0 * math.pi, 1.0, 7.0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("table", [
+    {"system": ["ho", "free", "both"] * 3, "n": np.arange(9), "sigma_invertible":
+     [True, False, True] * 3, "energy": np.array(_FLOATS), "b0": list(_FLOATS[::-1])},
+    {"map": ["gqw"], "theta": [0.1], "x0_mapped": [np.float64(-0.0)], "ok": [False]},
+    {"n_y": np.arange(1, 1), "energy": np.empty(0)},
+], ids=["mixed", "one-row", "empty"])
+def test_columnar_render_matches_row_render(table, fmt):
+    columns = list(table)
+    rows = [dict(zip(columns, cells)) for cells in zip(*(list(c) for c in table.values()))]
+    rows = [{c: v.item() if isinstance(v, np.generic) else v for c, v in row.items()}
+            for row in rows]
+    want = _row_render(fmt, "spectrum", _RENDER_CONFIG, columns, rows)
+    assert cli._render(fmt, "spectrum", _RENDER_CONFIG, table) == want
+    if fmt == "json":
+        doc = {"config": {k: cli._json_config(v) for k, v in _RENDER_CONFIG.items()},
+               "rows": [{c: _row_json_value(row[c]) for c in columns} for row in rows]}
+        assert want == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_render_rejects_non_finite_float_cell(bad):
+    table = {"n": [1, 2], "energy": np.array([1.0, bad])}
+    for fmt in ("csv", "json"):
+        with pytest.raises(cli.NonFiniteCellError):
+            cli._render(fmt, "spectrum", _RENDER_CONFIG, table)

@@ -34,6 +34,7 @@ CASES = {
     "trajectory_gqw_b.json": _TRAJECTORY + ("--system", "gqw-b", "--b0", "0, 0.5",
                                             "--format", "json"),
     "spectrum_ho.csv": ("spectrum", "--system", "ho", "--n-max", "3"),
+    "spectrum_gqw.csv": ("spectrum", "--system", "gqw", "--n-max", "20", "--gravity", "3.961"),
     "ncmap_gqw.csv": ("ncmap", "--system", "gqw", "--theta", "0.1", "--eta", "0.2"),
 }
 

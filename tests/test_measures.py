@@ -185,6 +185,17 @@ class TestFidelityCurve:
         with pytest.raises(ValueError, match="finite"):
             fidelity_curve(p, C0, times, order=2, form=form)
 
+    @pytest.mark.parametrize("form", ["consistent", "paper"])
+    def test_scalar_time_gives_one_sample(self, form):
+        p = SystemParams(kind=SystemKind.HO_FIELD, b0=0.5, omega0=1.0)
+        c0 = PhasePoint(1.0, 1.0, 1.0, 1.0)
+        curve = fidelity_curve(p, c0, 1.0, order=4, form=form)
+        want = fidelity_curve(p, c0, [1.0], order=4, form=form)
+        for name in ("times", "closed", "quad", "paper", "abs_diff"):
+            got, ref = getattr(curve, name), getattr(want, name)
+            assert got.shape == (1,)
+            assert got.tolist() == ref.tolist()
+
     def test_unknown_form_rejected(self):
         p = SystemParams(kind=SystemKind.HO_FIELD, omega0=1.0)
         with pytest.raises(ValueError):

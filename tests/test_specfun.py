@@ -116,6 +116,21 @@ class TestAiry:
         with pytest.raises(ValueError):
             airy_zero(0)
 
+    def test_array_of_zeros_matches_scalar_calls(self):
+        zs = airy_zero(np.arange(1, 31))
+        assert zs.shape == (30,)
+        for n, z in enumerate(zs, start=1):
+            want = airy_zero(n)
+            assert abs(z - want) <= 1e-13 * abs(want)
+            assert abs(airy_ai(z)) <= 1e-10
+        assert airy_zero(np.array([[2, 1]])).shape == (1, 2)
+
+    @pytest.mark.parametrize("bad", [np.array([1, 0, 3]), np.array([1.0, 2.0]),
+                                     np.array([-2]), 2.0])
+    def test_array_index_validated(self, bad):
+        with pytest.raises(ValueError):
+            airy_zero(bad)
+
 
 class TestGaussHermite:
     def test_weight_sum_is_sqrt_pi(self):

@@ -8,6 +8,7 @@ import pytest
 from wigsim.dynamics import TrajectorySolution, evolve, evolve_free, evolve_gqw_ballistic
 from wigsim.model import PhasePoint, SystemKind, SystemParams
 from wigsim.quadrature import box_scheme, hermite_scheme, integrate
+from wigsim.specfun import airy_ai
 from wigsim.wigner import (
     Gaussian2D,
     GaussianWigner,
@@ -200,6 +201,32 @@ class TestGQW:
         state = GQWState(1, gqw_params())
         fine = box_scheme((512, 512), [(0.0, state.y_max), (-state.p_cut, state.p_cut)])
         assert normalize_gqw(state, fine) == pytest.approx(state.norm, rel=1e-5)
+
+    @pytest.mark.parametrize("g", [0.7, 2.0, 3.9])
+    @pytest.mark.parametrize("n_y", [1, 3, 6])
+    def test_norm_matches_two_pass_oracle(self, n_y, g):
+        # the earlier route: integrate the box, then the box doubled in y at
+        # the same spacing, and compare the two masses
+        state = GQWState(n_y, gqw_params(g))
+        m = state.params.mass
+
+        def absval(y, py):
+            xi = py ** 2 / (2.0 * m) + m * g * y
+            return np.abs(airy_ai(state.alpha * (xi - state.energy)))
+
+        p_bounds = (-state.p_cut, state.p_cut)
+        total = integrate(absval, 2, box_scheme((256, 256), [(0.0, state.y_max), p_bounds]))
+        doubled = integrate(absval, 2, box_scheme((512, 256), [(0.0, 2 * state.y_max), p_bounds]))
+        assert abs(doubled - total) <= 1e-6 * total
+        assert state.norm == pytest.approx(1.0 / total, rel=1e-12)
+        assert normalize_gqw(state) == pytest.approx(1.0 / total, rel=1e-12)
+
+    def test_energy_of_level_array(self):
+        p = gqw_params(3.9)
+        levels = gqw_energy(np.arange(1, 13), p)
+        assert levels.tolist() == [gqw_energy(n, p) for n in range(1, 13)]
+        with pytest.raises(ValueError):
+            gqw_energy(np.array([2, 0]), p)
 
     def test_unit_mass_on_domain(self):
         state = GQWState(1, gqw_params())
