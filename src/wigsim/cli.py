@@ -38,6 +38,8 @@ _ENTROPY_B0 = "0.1, 0.25, 0.5, 0.75, 1"
 _T_END_DEFAULT = 4.0 * math.pi
 # most output rows one run may ask for, checked before anything is allocated
 _ROW_BUDGET = 10 ** 6
+# most entropy box nodes per axis: 2048^2 = quadrature._CHUNK_LIMIT, one block per sector grid
+_ENTROPY_ORDER_LIMIT = 2048
 
 
 class ConfigError(Exception):
@@ -336,8 +338,9 @@ def _run_entropy(ns):
         raise ValueError("omega0 does not apply to the free entropy sweep")
     # the trap frequency of the ho rows; the free sweep has no trap
     omega0 = _resolve_omega0(ns, "free" if ns.system == "free" else "ho")
-    if ns.quad_order < 3:
-        raise ValueError("quad-order (box nodes per axis) must be at least 3")
+    if not 3 <= ns.quad_order <= _ENTROPY_ORDER_LIMIT:
+        raise ValueError(f"quad-order (box nodes per axis) must be between 3 and "
+                         f"{_ENTROPY_ORDER_LIMIT}, got {ns.quad_order}")
     convention = (measures.EntropyConvention.RAW_BOX if ns.entropy_convention == "raw"
                   else measures.EntropyConvention.NORMALIZED_BOX)
     systems = ["ho", "free"] if ns.system == "both" else [ns.system]

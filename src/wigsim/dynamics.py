@@ -70,6 +70,7 @@ def _quadratic_map(omega: float, big_omega: float, mass: float, t) -> np.ndarray
     return np.moveaxis(m, (0, 1), (-2, -1))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # callers check the cells are finite
 def flow_map(params: SystemParams, t):
     """The exact flow z(t) = M(t) z0 + b(t) of params, vectorized over t.
 

@@ -320,11 +320,6 @@ class GQWState:
     def sectors(self):
         return (self.sector_x, (0, 2)), (self.sector_y, (1, 3))
 
-    def with_x_center(self, x_center) -> "GQWState":
-        """Same level and domain, x-sector recentered (used for transport)."""
-        return GQWState(self.n_y, self.params, x_center=x_center,
-                        y_max=self.y_max, norm=self.norm)
-
 
 def gqw_energy(n_y, params: SystemParams):
     """E_{n_y} = -(m g^2 hbar^2 / 2)^{1/3} lambda_{n_y} (positive).

@@ -62,12 +62,12 @@ def airy_ode_values(xs):
     growing companion solution takes over).  Returns values aligned with xs.
     """
 
-    def rhs(s, y):
-        return np.array([y[1], s * y[0]])
-
     def march(targets):
+        # RK4 on (y, y') with y'' = s y, written out on Python floats: the
+        # same steps and operation order as the array form
+        # k2 = f(s + h/2, y + (h/2) k1), ..., y += (h/6) (k1 + 2 k2 + 2 k3 + k4)
         out = {}
-        y = np.array([AIRY_AT_ZERO, AIRY_PRIME_AT_ZERO])
+        y0, y1 = AIRY_AT_ZERO, AIRY_PRIME_AT_ZERO
         s = 0.0
         for target in targets:
             span = target - s
@@ -75,14 +75,15 @@ def airy_ode_values(xs):
                 n = max(200, int(3000 * abs(span)))
                 h = span / n
                 for _ in range(n):
-                    k1 = rhs(s, y)
-                    k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-                    k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-                    k4 = rhs(s + h, y + h * k3)
-                    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    k1a, k1b = y1, s * y0
+                    k2a, k2b = y1 + 0.5 * h * k1b, (s + 0.5 * h) * (y0 + 0.5 * h * k1a)
+                    k3a, k3b = y1 + 0.5 * h * k2b, (s + 0.5 * h) * (y0 + 0.5 * h * k2a)
+                    k4a, k4b = y1 + h * k3b, (s + h) * (y0 + h * k3a)
+                    y0, y1 = (y0 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
+                              y1 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b))
                     s += h
                 s = target
-            out[target] = y[0]
+            out[target] = y0
         return out
 
     xs = [float(x) for x in xs]

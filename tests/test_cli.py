@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +320,38 @@ def test_non_finite_cell_is_numeric_error(capsys, argv, fmt):
     assert code == 3
     assert "E_NUMERIC" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_flow_overflow_writes_only_the_error_line(fmt):
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+    # (pytest captures them in-process)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wigsim.cli", "trajectory", "--system", "gqw", "--b0", "0",
+         "--gravity", "1e308", "--t-steps", "3", "--format", fmt],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: E_NUMERIC: column 'y' has a non-finite value\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("order", ["2", "2049"])
+def test_entropy_quad_order_bounds(capsys, monkeypatch, fmt, order):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built for a rejected order")
+
+    monkeypatch.setattr(cli.measures, "entropy_vs_field", no_grid)
+    code, out, err = run_cli(capsys, "entropy", "--quad-order", order, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: E_RANGE: quad-order (box nodes per axis) must be between 3 and "
+                   f"2048, got {order}\n")
+
+
+def test_entropy_quad_order_limit_is_one_sector_block():
+    assert cli._ENTROPY_ORDER_LIMIT ** 2 == cli.quadrature._CHUNK_LIMIT
 
 
 # each asks for more rows than the budget allows; none gets far enough to

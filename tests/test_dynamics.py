@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wigsim.dynamics import (
     TrajectorySolution,
@@ -266,3 +268,39 @@ def test_non_finite_initial_point_rejected(initial):
 def test_non_finite_time_rejected(params, t):
     with pytest.raises(ValueError, match="finite"):
         evolve(sol(params, PhasePoint(1.0, 1.0, 1.0, 1.0)), t)
+
+
+@st.composite
+def valid_params(draw):
+    """SystemParams of any kind, with only the parameters that kind admits."""
+    kind = draw(st.sampled_from(list(SystemKind)))
+    gravitational = kind in (SystemKind.GQW_BALLISTIC, SystemKind.GQW_FIELD)
+    return SystemParams(
+        kind=kind,
+        mass=draw(st.floats(0.2, 5.0)),
+        charge=draw(st.floats(0.0, 3.0)),
+        b0=0.0 if kind is SystemKind.GQW_BALLISTIC else draw(st.floats(0.0, 3.0)),
+        omega0=draw(st.floats(0.0, 3.0)) if kind is SystemKind.HO_FIELD else 0.0,
+        g=draw(st.floats(0.0, 5.0)) if gravitational else 0.0,
+    )
+
+
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+_TIMES = st.floats(-10.0, 10.0)
+
+
+@_PROPERTY
+@given(valid_params(), _TIMES, _TIMES)
+def test_flow_homogeneous_part_composes(params, t, s):
+    m_ts, _ = flow_map(params, t + s)
+    m_t, _ = flow_map(params, t)
+    m_s, _ = flow_map(params, s)
+    scale = max(1.0, np.abs(m_t).max() * np.abs(m_s).max())
+    assert np.abs(m_ts - m_t @ m_s).max() <= 1e-10 * scale
+
+
+@_PROPERTY
+@given(valid_params(), _TIMES)
+def test_flow_map_has_unit_determinant(params, t):
+    m, _ = flow_map(params, t)
+    assert abs(np.linalg.det(m) - 1.0) <= 1e-12

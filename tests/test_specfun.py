@@ -1,14 +1,14 @@
 """Laguerre, Airy, and Gauss-Hermite building blocks."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wigsim import specfun
 from wigsim.specfun import (
-    _airy_asym_neg,
-    _airy_asym_pos,
-    _airy_series,
     _build_gauss_hermite,
     airy_ai,
     airy_zero,
@@ -66,14 +66,6 @@ class TestAiry:
         got = airy_ai(xs)
         assert np.allclose(got, want, rtol=0, atol=5e-9)
 
-    def test_branches_agree_near_handover(self):
-        # series and asymptotics must agree where evaluation switches over
-        for x in (6.0, 7.0):
-            arr = np.array([x])
-            assert abs(_airy_series(arr)[0] - _airy_asym_pos(arr)[0]) <= 1e-9
-            arr = np.array([-x])
-            assert abs(_airy_series(arr)[0] - _airy_asym_neg(arr)[0]) <= 1e-9
-
     def test_ode_residual_sweep(self):
         # five-point central second difference of Ai against Ai'' = x Ai;
         # the wider stencil keeps rounding noise below the 1e-7 budget
@@ -130,6 +122,89 @@ class TestAiry:
     def test_array_index_validated(self, bad):
         with pytest.raises(ValueError):
             airy_zero(bad)
+
+
+def _mp_airy(xs, derivative=0):
+    from mpmath import mp   # the `test` extra; a test-only oracle
+    with mp.workdps(30):
+        return np.array([float(mp.airyai(mp.mpf(float(x)), derivative=derivative)) for x in xs])
+
+
+# both sides of every branch boundary: the table ends at -8 and 10, and the
+# nearest-node switch halfway between nodes
+_EDGES = np.array([-8.0, 10.0] + [-8.0 + 0.25 * k + 0.125 for k in range(72)])
+_BOUNDARY_XS = np.concatenate([_EDGES + d for d in (-1e-9, 0.0, 1e-9)])
+
+
+class TestAiryAgainstMpmath:
+    def test_ai_absolute_on_negative_axis(self):
+        xs = np.concatenate([np.linspace(-15.0, 0.0, 1201), _BOUNDARY_XS[_BOUNDARY_XS <= 0]])
+        assert np.max(np.abs(airy_ai(xs) - _mp_airy(xs))) <= 1e-14
+
+    def test_ai_relative_on_positive_axis(self):
+        xs = np.concatenate([np.linspace(0.0, 10.0, 801), _BOUNDARY_XS[_BOUNDARY_XS >= 0],
+                             np.linspace(10.0, 14.0, 41)])
+        want = _mp_airy(xs)
+        assert np.max(np.abs(airy_ai(xs) / want - 1.0)) <= 1e-13
+
+    def test_ai_prime_absolute_on_negative_axis(self):
+        xs = np.concatenate([np.linspace(-15.0, 0.0, 601), _BOUNDARY_XS[_BOUNDARY_XS <= 0]])
+        ai, aip = airy_ai(xs, prime=True)
+        assert np.array_equal(ai, airy_ai(xs))
+        assert np.max(np.abs(aip - _mp_airy(xs, derivative=1))) <= 1e-13
+
+    def test_ai_prime_relative_on_positive_axis(self):
+        xs = np.concatenate([np.linspace(0.0, 14.0, 281), [10.0 - 1e-9, 10.0 + 1e-9]])
+        _, aip = airy_ai(xs, prime=True)
+        assert np.max(np.abs(aip / _mp_airy(xs, derivative=1) - 1.0)) <= 1e-13
+
+    def test_ai_prime_matches_finite_difference(self):
+        xs = np.linspace(-20.0, 12.0, 161)
+        h = 1e-3
+        diff = (airy_ai(xs - 2 * h) - 8 * airy_ai(xs - h) + 8 * airy_ai(xs + h)
+                - airy_ai(xs + 2 * h)) / (12 * h)
+        assert np.max(np.abs(airy_ai(xs, prime=True)[1] - diff)) <= 1e-10
+
+    def test_prime_scalar_and_shape(self):
+        ai, aip = airy_ai(0.0, prime=True)
+        assert isinstance(ai, float) and isinstance(aip, float)
+        assert ai == pytest.approx(0.35502805388781724, rel=1e-15)
+        assert aip == pytest.approx(-0.25881940379280680, rel=1e-15)
+        ai, aip = airy_ai(np.zeros((2, 3)), prime=True)
+        assert ai.shape == aip.shape == (2, 3)
+
+    def test_zeros_within_four_ulp(self):
+        from mpmath import mp
+        rng = np.random.default_rng(2718)
+        ns = np.concatenate([np.arange(1, 201),
+                             np.sort(rng.choice(np.arange(201, 10001), 60, replace=False)),
+                             [10000]])
+        with mp.workdps(30):
+            want = np.array([float(mp.airyaizero(int(n))) for n in ns])
+        got = airy_zero(ns)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_zero_search_reports_no_convergence(self, monkeypatch):
+        real = specfun.airy_ai
+
+        def shifted(x, prime=False):
+            # Ai + 1 has no real zero, so Newton cannot settle anywhere
+            ai, aip = real(x, prime=True)
+            return (ai + 1.0, aip) if prime else ai + 1.0
+
+        monkeypatch.setattr(specfun, "airy_ai", shifted)
+        with pytest.raises(RuntimeError, match=r"n=\[1, 2\]"):
+            airy_zero(np.array([1, 2]))
+
+    def test_table_equals_generator_output(self):
+        path = Path(__file__).resolve().parents[1] / "tools" / "airy_table.py"
+        spec = importlib.util.spec_from_file_location("airy_table", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert np.array_equal(specfun._AIRY_TABLE.ravel(), np.array(module.table()))
+        assert np.array_equal(specfun._AIRY_NODES,
+                              np.arange(len(specfun._AIRY_TABLE)) * module.STEP + module.X_LO)
+        assert specfun._AIRY_NODES[-1] == module.X_HI
 
 
 class TestGaussHermite:

@@ -50,8 +50,8 @@ def test_traced_job_matches_untraced(tmp_path, capsys, argv, nodes_per_axis):
 
 
 def test_gqw_levels_share_one_zero_search(tmp_path, capsys):
-    # all levels are bisected together, so the number of airy_ai calls is
-    # set by the widest bracket (level 1), not by the number of levels
+    # all levels share one fixed-length Newton iteration, so the number of
+    # airy_ai calls does not grow with the number of levels
     counts = {}
     for n_max in ("3", "12"):
         argv = ("spectrum", "--system", "gqw", "--n-max", n_max)

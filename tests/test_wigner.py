@@ -273,7 +273,7 @@ class TestGQW:
 
     def test_x_sector_recentering(self):
         state = GQWState(1, gqw_params())
-        moved = state.with_x_center((1.5, -0.4))
+        moved = GQWState(1, gqw_params(), x_center=(1.5, -0.4))
         assert moved.norm == state.norm
         assert moved.energy == state.energy
         assert moved.sector_x.value(1.5, -0.4) == pytest.approx(1.0 / math.pi, rel=1e-12)
