@@ -7,12 +7,10 @@ form and by deterministic quadrature.
 """
 
 from .model import (
-    Frequencies,
     PhasePoint,
     SystemKind,
     SystemParams,
     TimeGrid,
-    derive_frequencies,
     hamiltonian_value,
 )
 from .dynamics import (
@@ -30,12 +28,10 @@ from .dynamics import (
 from .quadrature import (
     NonFiniteIntegrandError,
     QuadratureScheme,
-    RefineResult,
     SchemeKind,
     box_scheme,
     hermite_scheme,
     integrate,
-    refine_until,
 )
 from .wigner import (
     GaussianWigner,
@@ -76,12 +72,10 @@ from .ncmap import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Frequencies",
     "PhasePoint",
     "SystemKind",
     "SystemParams",
     "TimeGrid",
-    "derive_frequencies",
     "hamiltonian_value",
     "TrajectorySolution",
     "canonical_rhs",
@@ -95,12 +89,10 @@ __all__ = [
     "ode_residual",
     "NonFiniteIntegrandError",
     "QuadratureScheme",
-    "RefineResult",
     "SchemeKind",
     "box_scheme",
     "hermite_scheme",
     "integrate",
-    "refine_until",
     "GaussianWigner",
     "GQWState",
     "LandauState",

@@ -14,6 +14,7 @@ affine map z(t) = M(t) z0 + b(t) with M symplectic (flow_map).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,19 @@ def _quadratic_map(omega: float, big_omega: float, mass: float, t) -> np.ndarray
     return np.moveaxis(m, (0, 1), (-2, -1))
 
 
+# (x - sin x) / x^2 = x/3! - x^3/5! + ... to x^15/17!, highest power first
+_DRIFT_SERIES = [(-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(8, 0, -1)]
+
+
+def _drift_shape(x):
+    """(x - sin x) / x^2, summed as its Taylor series below |x| = 1, where the
+    difference cancels (the truncation there is below 1e-16 relative)."""
+    small = np.abs(x) < 1.0
+    xs = np.where(small, x, 0.0)
+    xl = np.where(small, 1.0, x)
+    return np.where(small, xs * np.polyval(_DRIFT_SERIES, xs * xs), (xl - np.sin(xl)) / xl / xl)
+
+
 @np.errstate(over="ignore", invalid="ignore")   # callers check the cells are finite
 def flow_map(params: SystemParams, t):
     """The exact flow z(t) = M(t) z0 + b(t) of params, vectorized over t.
@@ -90,12 +104,13 @@ def flow_map(params: SystemParams, t):
         mass = params.mass
         w = params.omega
         if w > 0:
-            s2 = np.sin(2.0 * w * t)
-            c2 = np.cos(2.0 * w * t)
-            b[0] = -g * t / (2.0 * w) + g * s2 / (4.0 * w * w)
-            b[1] = -g * (1.0 - c2) / (4.0 * w * w)
-            b[2] = -mass * g * (1.0 - c2) / (4.0 * w)
-            b[3] = -mass * g * t / 2.0 - mass * g * s2 / (4.0 * w)
+            # no differences that cancel as w t -> 0; sin(w t) / w is t to rounding below 1e-8
+            s, c = np.sin(w * t), np.cos(w * t)
+            s_w = np.where(np.abs(w * t) < 1e-8, t, s / w)
+            b[0] = -g * t * (t * _drift_shape(2.0 * w * t))
+            b[1] = -0.5 * g * s_w * s_w
+            b[2] = -0.5 * mass * g * s * s_w
+            b[3] = -0.5 * mass * g * (t + c * s_w)
         else:
             b[1] = -0.5 * g * t * t
             b[3] = -mass * g * t

@@ -234,7 +234,7 @@ def entropy_vs_field(kind: SystemKind, b0_values, *, mass: float = 1.0, hbar: fl
             state = StationaryHOState(0, 0, params)
         elif kind is SystemKind.FREE_FIELD:
             params = SystemParams(kind=kind, mass=mass, hbar=hbar, charge=charge, b0=b0)
-            state = LandauState(0, params, box_half_width=L)
+            state = LandauState(0, params)
         else:
             raise ValueError("entropy sweep is defined for the trapped and free systems")
         box = quadrature.box_scheme((nodes_per_axis,) * 2, [(-L, L)] * 2)

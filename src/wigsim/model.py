@@ -27,8 +27,6 @@ __all__ = [
     "PhasePoint",
     "TimeGrid",
     "SystemParams",
-    "Frequencies",
-    "derive_frequencies",
     "hamiltonian_value",
 ]
 
@@ -78,15 +76,6 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.linspace(self.start, self.end, self.steps)
-
-
-class Frequencies(NamedTuple):
-    """Derived frequency set of a parameter choice."""
-
-    omega: float        # field rotation frequency q B0 / (2 m)
-    lam: float          # position stiffness, lam^2 = m (omega^2 + omega0^2) / 2
-    kappa: float        # momentum weight, kap^2 = 1 / (2 m)
-    big_omega: float    # oscillation frequency 2 lam kappa = sqrt(omega^2 + omega0^2)
 
 
 @dataclass(frozen=True)
@@ -156,11 +145,6 @@ class SystemParams:
     @property
     def big_omega(self) -> float:
         return 2.0 * self.lam * self.kappa
-
-
-def derive_frequencies(params: SystemParams) -> Frequencies:
-    """Collect (omega, lam, kappa, big_omega) for a parameter set."""
-    return Frequencies(params.omega, params.lam, params.kappa, params.big_omega)
 
 
 def hamiltonian_value(params: SystemParams, point: PhasePoint):

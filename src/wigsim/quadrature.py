@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .specfun import gauss_hermite
+from .specfun import _MAX_HERMITE_ORDER, gauss_hermite
 
 __all__ = [
     "SchemeKind",
@@ -23,16 +23,12 @@ __all__ = [
     "hermite_scheme",
     "box_scheme",
     "integrate",
-    "refine_until",
-    "RefineResult",
     "NonFiniteIntegrandError",
 ]
 
 # grids larger than this are evaluated one first-axis node at a time;
 # the threshold depends only on the scheme, so chunking is deterministic
 _CHUNK_LIMIT = 2 ** 22
-
-_MAX_HERMITE_ORDER = 256
 
 
 class NonFiniteIntegrandError(RuntimeError):
@@ -160,49 +156,3 @@ def integrate(f: Callable, dims: int, scheme: QuadratureScheme) -> float:
             vals = np.tensordot(vals, chunk[axis][1], axes=([axis], [0]))
         total += float(vals)
     return total
-
-
-@dataclass(frozen=True)
-class RefineResult:
-    value: float
-    achieved_tol: float
-    converged: bool
-    orders: tuple
-
-
-def refine_until(f: Callable, scheme: QuadratureScheme, rel_tol: float) -> RefineResult:
-    """Double all orders until successive values agree to rel_tol.
-
-    Relative change uses |value| as the denominator, falling back to absolute
-    change when |value| <= 1e-12.  Hermite orders cap at 256; hitting the cap
-    without convergence returns converged=False rather than raising.
-    """
-    if not rel_tol >= 1e-14:
-        raise ValueError("rel_tol below 1e-14 is not resolvable in double precision")
-    current = scheme
-    prev = integrate(f, scheme.dims, current)
-    achieved = math.inf
-    while True:
-        new_orders = tuple(min(2 * n, _MAX_HERMITE_ORDER) if current.kind is SchemeKind.TENSOR_HERMITE
-                           else 2 * n
-                           for n in current.orders)
-        if new_orders == current.orders:
-            return RefineResult(value=prev, achieved_tol=achieved, converged=False,
-                                orders=current.orders)
-        current = QuadratureScheme(
-            kind=current.kind,
-            orders=new_orders,
-            centers=current.centers,
-            scales=current.scales,
-            bounds=current.bounds,
-        )
-        val = integrate(f, scheme.dims, current)
-        denom = abs(val) if abs(val) > 1e-12 else 1.0
-        achieved = abs(val - prev) / denom
-        prev = val
-        if achieved <= rel_tol:
-            return RefineResult(value=val, achieved_tol=achieved, converged=True,
-                                orders=current.orders)
-        if current.kind is SchemeKind.UNIFORM_BOX and max(current.orders) >= 4096:
-            return RefineResult(value=val, achieved_tol=achieved, converged=False,
-                                orders=current.orders)

@@ -179,6 +179,10 @@ def airy_zero(n):
     return _unwrap_scalar(z)
 
 
+# highest Gauss-Hermite order built; quadrature schemes are checked against it
+_MAX_HERMITE_ORDER = 256
+
+
 class GaussHermiteRule(NamedTuple):
     """Nodes and weights for integrating f(x) e^{-x^2} dx over the line."""
 
@@ -196,17 +200,17 @@ def _hermite_pair(n: int, x: np.ndarray):
 
 
 def gauss_hermite(n: int) -> GaussHermiteRule:
-    """Gauss-Hermite rule of order n (1 <= n <= 256).
+    """Gauss-Hermite rule of order n (1 <= n <= _MAX_HERMITE_ORDER).
 
     Each order is built once per process and shared by every caller, so the
     returned nodes and weights are read-only arrays.
     """
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 256:
-        raise ValueError("gauss_hermite order must satisfy 1 <= n <= 256")
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= _MAX_HERMITE_ORDER:
+        raise ValueError(f"gauss_hermite order must satisfy 1 <= n <= {_MAX_HERMITE_ORDER}")
     return _build_gauss_hermite(int(n))
 
 
-@functools.lru_cache(maxsize=None)   # bounded by the 256 orders validated above
+@functools.lru_cache(maxsize=None)   # bounded by the orders validated above
 def _build_gauss_hermite(n: int) -> GaussHermiteRule:
     """Build the order-n rule.
 

@@ -137,12 +137,6 @@ class StationaryHOState(ProductState):
         self.params = params
         self.center = PhasePoint(0.0, 0.0, 0.0, 0.0)
 
-    def omega_plus(self, x, y, px, py):
-        return _quad_forms(self.params, x, y, px, py)[0]
-
-    def omega_minus(self, x, y, px, py):
-        return _quad_forms(self.params, x, y, px, py)[1]
-
     def value(self, x, y, px, py):
         hbar = self.params.hbar
         op, om = _quad_forms(self.params, x, y, px, py)
@@ -154,10 +148,6 @@ class StationaryHOState(ProductState):
             * laguerre(self.n2, om / hbar)
         )
         return _unwrap_scalar(out)
-
-    @property
-    def energy(self) -> float:
-        return ho_energy(self.n1, self.n2, self.params)
 
     def sectors(self):
         """(x, px) x (y, py), ground state only."""
@@ -177,41 +167,29 @@ def ho_energy(n1: int, n2: int, params: SystemParams) -> float:
 class LandauState(ProductState):
     """Landau-level Wigner function of the free charge in a field.
 
-    W_n = norm * (-1)^n / (pi hbar) * exp(-Omega/hbar) * L_n(Omega/hbar)
+    W_n = (-1)^n / (pi hbar) * exp(-Omega/hbar) * L_n(Omega/hbar)
     with Omega = m omega r^2 + p^2/(m omega) - 2 L_z, a rank-2 form, so the
-    state is flat along two phase-space directions and only box-normalizable.
-    The default norm = 1 keeps the printed prefactor; .normalized() rescales
-    so the box integral is 1.
+    state is flat along two phase-space directions and has no finite mass
+    over the whole space.  The printed prefactor is kept; a box mass, where
+    one is needed, comes from the two ridge sectors.
     """
 
-    def __init__(self, n: int, params: SystemParams, box_half_width: float = 8.0,
-                 norm: float = 1.0):
+    def __init__(self, n: int, params: SystemParams):
         if not isinstance(n, (int, np.integer)) or n < 0:
             raise ValueError("Landau index must be a nonnegative integer")
         if params.omega0 != 0:
             raise ValueError("Landau levels require omega0 = 0")
         if not params.omega > 0:
             raise ValueError("Landau levels require omega > 0")
-        if not box_half_width > 0:
-            raise ValueError("box half-width must be positive")
         self.n = int(n)
         self.params = params
-        self.box_half_width = float(box_half_width)
-        self.norm = float(norm)
         self.center = PhasePoint(0.0, 0.0, 0.0, 0.0)
-
-    def omega_form(self, x, y, px, py):
-        return _quad_forms(self.params, x, y, px, py)[0]
 
     def value(self, x, y, px, py):
         hbar = self.params.hbar
-        om = self.omega_form(x, y, px, py) / hbar
-        out = self.norm * (-1.0) ** self.n / (math.pi * hbar) * np.exp(-om) * laguerre(self.n, om)
+        om = _quad_forms(self.params, x, y, px, py)[0] / hbar
+        out = (-1.0) ** self.n / (math.pi * hbar) * np.exp(-om) * laguerre(self.n, om)
         return _unwrap_scalar(out)
-
-    @property
-    def energy(self) -> float:
-        return landau_energy(self.n, self.params)
 
     def sectors(self):
         """Omega = u^2 + v^2 with u = a x - py/a, v = a y + px/a, a^2 = m omega:
@@ -220,22 +198,8 @@ class LandauState(ProductState):
             raise ValueError("sector factorization only holds for the lowest Landau level")
         p = self.params
         ratio = p.lam / p.kappa
-        return ((HOSector(ratio, p.hbar, cross=-2.0, norm=self.norm * math.pi * p.hbar), (0, 3)),
+        return ((HOSector(ratio, p.hbar, cross=-2.0, norm=math.pi * p.hbar), (0, 3)),
                 (HOSector(ratio, p.hbar, cross=2.0), (1, 2)))
-
-    def box_scheme(self, nodes_per_axis: int = 101) -> quadrature.QuadratureScheme:
-        L = self.box_half_width
-        return quadrature.box_scheme((nodes_per_axis,) * 4, [(-L, L)] * 4)
-
-    def box_integral(self, nodes_per_axis: int = 101) -> float:
-        return quadrature.integrate(self.value, 4, self.box_scheme(nodes_per_axis))
-
-    def normalized(self, nodes_per_axis: int = 101) -> "LandauState":
-        """Copy with norm chosen so the signed box integral equals 1."""
-        total = self.box_integral(nodes_per_axis)
-        if not abs(total) > 1e-12:
-            raise ValueError("box integral too small to fix a normalization")
-        return LandauState(self.n, self.params, self.box_half_width, self.norm / total)
 
 
 def landau_energy(n: int, params: SystemParams) -> float:
@@ -288,7 +252,7 @@ class GQWState:
     """
 
     def __init__(self, n_y: int, params: SystemParams, x_center=(0.0, 0.0),
-                 y_max: float | None = None, norm: float | None = None):
+                 y_max: float | None = None):
         if not isinstance(n_y, (int, np.integer)) or n_y < 1:
             raise ValueError("gravitational level index starts at 1")
         if params.kind not in (SystemKind.GQW_BALLISTIC, SystemKind.GQW_FIELD):
@@ -307,11 +271,9 @@ class GQWState:
             raise ValueError("y_max must clear the turning point by at least 5 Airy widths")
         self.xi_max = self.energy + 12.0 / self.alpha
         self.p_cut = math.sqrt(2.0 * m * self.xi_max)
-        self._x_center = (float(x_center[0]), float(x_center[1]))
-        self.sector_x = Gaussian2D(self._x_center)
+        self.sector_x = Gaussian2D(x_center)
         self.sector_y = GQWYSector(self)
-        self.norm = 1.0
-        self.norm = normalize_gqw(self) if norm is None else float(norm)
+        self.norm = normalize_gqw(self)
 
     def value(self, x, y, px, py):
         out = np.asarray(self.sector_x.value(x, px)) * np.asarray(self.sector_y.value(y, py))
@@ -334,12 +296,13 @@ def gqw_energy(n_y, params: SystemParams):
     return -((m * g * g * hbar * hbar / 2.0) ** (1.0 / 3.0)) * airy_zero(n_y)
 
 
-def normalize_gqw(state: GQWState, scheme: quadrature.QuadratureScheme | None = None) -> float:
-    """Normalization constant A_n with integral of |W_y| = 1 over the domain.
+def normalize_gqw(state: GQWState) -> float:
+    """Normalization constant A_n with integral of |W_y| = 1 over the domain,
+    by the midpoint rule on 256 x 256 nodes.
 
     Convergence of the truncation is checked on the tail box
-    [y_max, 2 y_max - y_lo] at the same node spacing: a tail mass above 1e-6
-    of the total raises TruncationError.
+    [y_max, 2 y_max] at the same node spacing: a tail mass above 1e-6 of the
+    total raises TruncationError.
     """
     m = state.params.mass
     g = state.params.g
@@ -348,16 +311,10 @@ def normalize_gqw(state: GQWState, scheme: quadrature.QuadratureScheme | None = 
         xi = np.asarray(py, dtype=float) ** 2 / (2.0 * m) + m * g * np.asarray(y, dtype=float)
         return np.abs(airy_ai(state.alpha * (xi - state.energy)))
 
-    if scheme is None:
-        scheme = quadrature.box_scheme(
-            (256, 256), [(0.0, state.y_max), (-state.p_cut, state.p_cut)]
-        )
-    if scheme.kind is not quadrature.SchemeKind.UNIFORM_BOX or scheme.dims != 2:
-        raise ValueError("normalize_gqw expects a 2D box scheme over (y, py)")
-
-    total = quadrature.integrate(unnormalized, 2, scheme)
-    (y_lo, y_hi), p_bounds = scheme.bounds
-    tail = quadrature.box_scheme(scheme.orders, [(y_hi, y_hi + (y_hi - y_lo)), p_bounds])
+    p_bounds = (-state.p_cut, state.p_cut)
+    box = quadrature.box_scheme((256, 256), [(0.0, state.y_max), p_bounds])
+    total = quadrature.integrate(unnormalized, 2, box)
+    tail = quadrature.box_scheme((256, 256), [(state.y_max, 2.0 * state.y_max), p_bounds])
     if abs(quadrature.integrate(unnormalized, 2, tail)) > 1e-6 * abs(total):
         raise TruncationError(
             "y-sector mass has not converged on the declared domain; increase y_max"

@@ -86,6 +86,21 @@ def test_gqw_b_at_zero_field_falls_back_to_ballistic(capsys):
     assert float(rows[-1]["py"]) == pytest.approx(-1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("b0", ["1e-12", "1e-200"])
+def test_gqw_b_weak_field_keeps_the_drop(capsys, b0):
+    # the drift of a tiny field must not cancel away the gravitational drop
+    argv = ("trajectory", "--system", "gqw-b", "--t-end", "2", "--t-steps", "3")
+    _, out, _ = run_cli(capsys, *argv, "--b0", "0")
+    _, _, drop = parse_csv(out)
+    code, out, err = run_cli(capsys, *argv, "--b0", b0)
+    assert code == 0
+    assert err == ""
+    _, _, rows = parse_csv(out)
+    for row, want in zip(rows, drop):
+        for col in ("y", "py"):
+            assert float(row[col]) == pytest.approx(float(want[col]), abs=1e-9)
+
+
 def test_gqw_with_field_rejected(capsys):
     code, out, err = run_cli(
         capsys, "trajectory", "--system", "gqw", "--b0", "0.5", "--t-steps", "2")

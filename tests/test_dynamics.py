@@ -304,3 +304,37 @@ def test_flow_homogeneous_part_composes(params, t, s):
 def test_flow_map_has_unit_determinant(params, t):
     m, _ = flow_map(params, t)
     assert abs(np.linalg.det(m) - 1.0) <= 1e-12
+
+
+_POINTS = st.tuples(*[st.floats(-5.0, 5.0)] * 4).map(lambda z: PhasePoint(*z))
+
+
+@_PROPERTY
+@given(valid_params(), _POINTS, _TIMES)
+def test_energy_is_conserved(params, z0, t):
+    # every term of H is at most (lam^2 + kap^2 + omega + m g) max(1, |z|^2),
+    # so rounding in the flow and in H is measured against that size
+    zt = evolve(sol(params, z0), t)
+    h0, ht = hamiltonian_value(params, z0), hamiltonian_value(params, zt)
+    coeff = params.lam ** 2 + params.kappa ** 2 + params.omega + params.mass * params.g
+    size = max(1.0, abs(h0), float(np.sum(z0.as_array() ** 2)), float(np.sum(zt.as_array() ** 2)))
+    assert abs(ht - h0) <= 1e-13 * coeff * size
+
+
+@_PROPERTY
+@given(valid_params(), _TIMES)
+def test_flow_map_drift_is_finite(params, t):
+    _, b = flow_map(params, t)
+    assert np.all(np.isfinite(b))
+
+
+@_PROPERTY
+@given(st.floats(0.2, 5.0), st.floats(0.0, 1e-6), st.floats(0.0, 5.0), _TIMES)
+def test_weak_field_drift_tends_to_ballistic_drop(mass, b0, g, t):
+    # the field drift leaves the drop (0, -g t^2/2, 0, -m g t) at first order
+    # in omega t: |b_x| <= g omega |t|^3 / 3 and |b_px| <= m g omega t^2 / 2
+    field = SystemParams(kind=SystemKind.GQW_FIELD, mass=mass, b0=b0, g=g)
+    _, b = flow_map(field, t)
+    _, drop = flow_map(SystemParams(kind=SystemKind.GQW_BALLISTIC, mass=mass, g=g), t)
+    scale = g * t * t + mass * g * abs(t)
+    assert np.abs(b - drop).max() <= (field.omega * abs(t) + 1e-15) * scale

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wigsim.dynamics import TrajectorySolution, evolve
 from wigsim.measures import (
@@ -19,8 +21,10 @@ from wigsim.measures import (
     shannon_entropy,
 )
 from wigsim.model import PhasePoint, SystemKind, SystemParams
-from wigsim.quadrature import box_scheme
+from wigsim.quadrature import box_scheme, integrate
 from wigsim.wigner import Gaussian2D, GaussianWigner, LandauState, StationaryHOState
+
+from test_dynamics import _PROPERTY, valid_params
 
 C0 = PhasePoint(1.0, 1.0, 1.0, 1.0)
 ORIGIN = PhasePoint(0.0, 0.0, 0.0, 0.0)
@@ -211,6 +215,16 @@ class TestFidelityCurve:
         with pytest.raises(ValueError, match="finite"):
             fidelity_curve(p, c0, np.linspace(0.0, 1.0, 3), order=2, form=form)
 
+    @_PROPERTY
+    @given(valid_params(), st.tuples(*[st.floats(-5.0, 5.0)] * 4), st.floats(-10.0, 10.0),
+           st.integers(1, 64))
+    def test_columns_stay_in_unit_interval(self, params, z0, t, order):
+        # closed = exp(-d^2/2) is at most 1 exactly; quad squares two sector
+        # sums of order^2 terms, so rounding may lift it by ~8 order ulp
+        curve = fidelity_curve(params, PhasePoint(*z0), [0.0, t], order=order)
+        assert np.all((curve.closed >= 0.0) & (curve.closed <= 1.0))
+        assert np.all((curve.quad >= 0.0) & (curve.quad <= 1.0 + 8 * order * np.finfo(float).eps))
+
 
 class TestEntropy:
     def test_unit_gaussian_sector(self):
@@ -278,7 +292,7 @@ class TestEntropyVsField:
         if kind is SystemKind.HO_FIELD:
             state = StationaryHOState(0, 0, SystemParams(kind=kind, b0=0.5, omega0=1.0))
         else:
-            state = LandauState(0, SystemParams(kind=kind, b0=0.5), box_half_width=half_width)
+            state = LandauState(0, SystemParams(kind=kind, b0=0.5))
         box = box_scheme((41,) * 4, [(-half_width, half_width)] * 4)
         want = shannon_entropy(state, box, convention).value
         assert rows[0][1] == pytest.approx(want, rel=1e-12)
@@ -300,8 +314,9 @@ class TestEntropyVsField:
 
         sector = math.sqrt(math.pi) * (ridge(a * half_width + half_width / a)
                                        - ridge(a * half_width - half_width / a))
-        state = LandauState(0, p, box_half_width=half_width)
-        assert state.box_integral(41) == pytest.approx(sector ** 2 / math.pi, rel=1e-6)
+        state = LandauState(0, p)
+        box41 = box_scheme((41,) * 4, [(-half_width, half_width)] * 4)
+        assert integrate(state.value, 4, box41) == pytest.approx(sector ** 2 / math.pi, rel=1e-6)
         assert sector ** 2 / math.pi == pytest.approx(64.0, rel=1e-12)
         box = box_scheme((21,) * 4, [(-half_width, half_width)] * 4)
         rows = entropy_vs_field(SystemKind.FREE_FIELD, [0.5], box_half_width=half_width,

@@ -10,7 +10,6 @@ from wigsim.model import (
     SystemKind,
     SystemParams,
     TimeGrid,
-    derive_frequencies,
     hamiltonian_value,
 )
 
@@ -41,12 +40,6 @@ def test_big_omega_invariant_random_params():
             omega0=rng.uniform(0.0, 3.0),
         )
         assert p.big_omega == pytest.approx(math.hypot(p.omega, p.omega0), rel=1e-12)
-
-
-def test_derive_frequencies_bundle():
-    p = SystemParams(kind=SystemKind.HO_FIELD, b0=1.0, omega0=1.0)
-    f = derive_frequencies(p)
-    assert (f.omega, f.lam, f.kappa, f.big_omega) == (p.omega, p.lam, p.kappa, p.big_omega)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -13,7 +13,6 @@ from wigsim.quadrature import (
     box_scheme,
     hermite_scheme,
     integrate,
-    refine_until,
 )
 
 from oracles import gaussian_moment
@@ -128,37 +127,3 @@ def test_integrate_deterministic():
     a = integrate(gauss2, 2, sch)
     b = integrate(gauss2, 2, sch)
     assert a == b
-
-
-def test_refine_until_converges():
-    res = refine_until(gauss2, hermite_scheme((4, 4)), rel_tol=1e-11)
-    assert res.converged
-    assert res.value == pytest.approx(math.pi, rel=1e-10)
-    assert res.achieved_tol <= 1e-11
-
-
-def test_refine_until_cap_reported():
-    # an integrand quadrature cannot pin down keeps converged False at the cap
-    rng_phase = 60.0
-
-    def wiggly(x):
-        return np.cos(rng_phase * x ** 2) * np.exp(-(x ** 2) / 200.0)
-
-    res = refine_until(wiggly, hermite_scheme((4,), scales=(6.0,)), rel_tol=1e-13)
-    if not res.converged:
-        assert res.orders[0] == 256
-    else:
-        assert res.achieved_tol <= 1e-13
-
-
-def test_refine_until_zero_integral():
-    # odd integrand: successive values are ~0, absolute fallback must kick in
-    res = refine_until(lambda x: x * np.exp(-(x ** 2)), hermite_scheme((8,)),
-                       rel_tol=1e-10)
-    assert res.converged
-    assert abs(res.value) <= 1e-12
-
-
-def test_refine_tol_floor():
-    with pytest.raises(ValueError):
-        refine_until(gauss2, hermite_scheme((4, 4)), rel_tol=1e-15)
