@@ -367,24 +367,20 @@ def _run_spectrum(ns):
     b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
     n_levels = ns.n_max + 1
     if ns.system == "ho":
-        if ns.gravity not in (None, 0.0):
-            raise ValueError("gravity does not apply to the trapped spectrum")
+        params = [_make_params("ho", b0, ns) for b0 in b0_list]
         _check_rows(n_levels ** 2 * len(b0_list))
         n1, n2 = np.divmod(np.arange(n_levels ** 2), n_levels)
-        params = [_make_params("ho", b0, ns) for b0 in b0_list]
         table = {"b0": np.repeat(b0_list, n_levels ** 2), "n1": np.tile(n1, len(b0_list)),
                  "n2": np.tile(n2, len(b0_list)),
                  "energy": [wigner.ho_energy(a, b, p) for p in params
                             for a, b in zip(n1.tolist(), n2.tolist())]}
         b0_used = b0_list
     elif ns.system == "free":
-        if ns.gravity not in (None, 0.0):
-            raise ValueError("gravity does not apply to the free spectrum")
         b0_used = [b0 for b0 in b0_list if b0 > 0]
         if not b0_used:
             raise ValueError("the Landau ladder needs at least one positive b0")
-        _check_rows(n_levels * len(b0_used))
         params = [_make_params("free", b0, ns) for b0 in b0_used]
+        _check_rows(n_levels * len(b0_used))
         table = {"b0": np.repeat(b0_used, n_levels),
                  "n": np.tile(np.arange(n_levels), len(b0_used)),
                  "energy": [wigner.landau_energy(n, p) for p in params for n in range(n_levels)]}
@@ -393,10 +389,8 @@ def _run_spectrum(ns):
         if ns.n_max < 1:
             raise ValueError("gravitational levels start at n_y = 1; n-max must be >= 1")
         _check_rows(ns.n_max)
-        params = SystemParams(kind=SystemKind.GQW_BALLISTIC, mass=ns.mass, hbar=ns.hbar,
-                              charge=ns.charge, g=_resolve_gravity(ns, "gqw"))
         n_y = np.arange(1, ns.n_max + 1)
-        table = {"n_y": n_y, "energy": wigner.gqw_energy(n_y, params)}
+        table = {"n_y": n_y, "energy": wigner.gqw_energy(n_y, _make_params(ns.system, 0.0, ns))}
         b0_used = []
     cfg = _config("spectrum", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", "n_max"), b0=b0_used)
     return table, cfg
@@ -404,20 +398,13 @@ def _run_spectrum(ns):
 
 def _run_ncmap(ns):
     nc = NCParams(theta=ns.theta, eta=ns.eta, mu=ns.mu, nu=ns.nu)
-    omega0 = _resolve_omega0(ns, ns.system)
-    g = _resolve_gravity(ns, ns.system)
+    params = _make_params(ns.system, 0.0, ns)
     row = {"map": ns.system, "theta": ns.theta, "eta": ns.eta, "mu": ns.mu, "nu": ns.nu}
     if ns.system == "ho":
-        params = SystemParams(kind=SystemKind.HO_FIELD, mass=ns.mass, hbar=ns.hbar,
-                              charge=ns.charge, omega0=omega0)
         row["b0_effective"] = effective_b0_ho(nc, params)
     elif ns.system == "free":
-        params = SystemParams(kind=SystemKind.FREE_FIELD, mass=ns.mass, hbar=ns.hbar,
-                              charge=ns.charge)
         row["b0_effective"] = effective_b0_free(nc, params)
     else:
-        params = SystemParams(kind=SystemKind.GQW_BALLISTIC, mass=ns.mass, hbar=ns.hbar,
-                              charge=ns.charge, g=g)
         b_eff, shift = gqw_nc_map(nc, params)
         row["b0_effective"] = b_eff
         row["x_scale"] = shift.scale_x

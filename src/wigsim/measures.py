@@ -160,6 +160,8 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     for i, center in enumerate(ct.as_array()):
         for (s0, _), (st, _) in zip(sectors0, GaussianWigner(PhasePoint(*center)).sectors()):
             quad[i] *= fidelity_quadrature(s0, st, default_fidelity_scheme(s0, st, order))
+    # both states are unit Gaussians the rule integrates exactly: any excess over 1 is rounding
+    quad = np.minimum(quad, 1.0)
     paper = fidelity_ho_paper(params.omega, times, c0) if is_ho_unit else None
     return FidelityCurve(times=times, closed=closed, quad=quad, paper=paper,
                          abs_diff=np.abs(closed - quad))

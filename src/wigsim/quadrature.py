@@ -71,13 +71,17 @@ class QuadratureScheme:
                 raise ValueError("centers/scales length must match orders")
             if any(not (s > 0 and math.isfinite(s)) for s in self.scales):
                 raise ValueError("scales must be positive and finite")
+            if not all(math.isfinite(c) for c in self.centers):
+                raise ValueError("centers must be finite")
         else:
             if self.centers is not None or self.scales is not None:
                 raise ValueError("box scheme takes bounds, not centers/scales")
             if self.bounds is None or len(self.bounds) != len(self.orders):
                 raise ValueError("box scheme requires one (lo, hi) pair per axis")
-            if any(not (lo < hi) for lo, hi in self.bounds):
-                raise ValueError("box bounds require lo < hi")
+            # a finite width hi - lo also rules out infinite bounds
+            if any(not (lo < hi and math.isfinite(float(hi) - float(lo)))
+                   for lo, hi in self.bounds):
+                raise ValueError("box bounds require lo < hi with a finite width hi - lo")
 
     @property
     def dims(self) -> int:
@@ -134,13 +138,19 @@ def integrate(f: Callable, dims: int, scheme: QuadratureScheme) -> float:
     f is called with dims broadcastable coordinate arrays and must return the
     broadcast value array.  It is evaluated in chunks along the first axis:
     the whole axis at once, or one node per chunk on grids above
-    _CHUNK_LIMIT, a layout fixed by the scheme.
+    _CHUNK_LIMIT, a layout fixed by the scheme.  Raises ValueError, before
+    building any node, when the first axis or the smallest chunk (one
+    first-axis node, or a 1D axis whole) has more than _CHUNK_LIMIT nodes.
     """
     if dims != scheme.dims:
         raise ValueError(f"scheme has {scheme.dims} axes, integrand expects {dims}")
+    block = max(scheme.orders[0], math.prod(scheme.orders[1:]))
+    if block > _CHUNK_LIMIT:
+        raise ValueError(f"the scheme's first axis or smallest chunk has {block} nodes; "
+                         f"at most {_CHUNK_LIMIT} allowed")
     axes = _axes(scheme)
     (nodes0, weights0), rest = axes[0], axes[1:]
-    size = math.prod(len(nodes) for nodes, _ in axes)
+    size = math.prod(scheme.orders)
     step = len(nodes0) if size <= _CHUNK_LIMIT or not rest else 1
     total = 0.0
     for lo in range(0, len(nodes0), step):

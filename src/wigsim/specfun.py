@@ -5,7 +5,7 @@ three-term recurrence; Ai and Ai' by Taylor re-expansion about a checked-in
 mpmath table on [-8, 10] and DLMF 9.7 asymptotics beyond (within 2e-15
 absolute on [-15, 0], 8e-15 relative on [0, 14]); negative zeros of Ai by
 three Newton steps from their asymptotic series (within 2 ulp); and
-Gauss-Hermite rules by Newton iteration on the orthonormal recurrence.
+Gauss-Hermite rules, which are numpy's hermgauss rules.
 """
 
 from __future__ import annotations
@@ -190,15 +190,6 @@ class GaussHermiteRule(NamedTuple):
     weights: np.ndarray
 
 
-def _hermite_pair(n: int, x: np.ndarray):
-    """Orthonormal Hermite values (p_n, p_{n-1}) against weight e^{-x^2}."""
-    prev = np.zeros_like(x)
-    cur = np.full_like(x, math.pi ** -0.25)
-    for j in range(1, n + 1):
-        prev, cur = cur, x * math.sqrt(2.0 / j) * cur - math.sqrt((j - 1.0) / j) * prev
-    return cur, prev
-
-
 def gauss_hermite(n: int) -> GaussHermiteRule:
     """Gauss-Hermite rule of order n (1 <= n <= _MAX_HERMITE_ORDER).
 
@@ -212,63 +203,11 @@ def gauss_hermite(n: int) -> GaussHermiteRule:
 
 @functools.lru_cache(maxsize=None)   # bounded by the orders validated above
 def _build_gauss_hermite(n: int) -> GaussHermiteRule:
-    """Build the order-n rule.
+    """Build the order-n rule: numpy's hermgauss (Golub-Welsch eigenvalues, one Newton polish)."""
+    # imported here so that importing wigsim does not load numpy.polynomial
+    from numpy.polynomial.hermite import hermgauss
 
-    Positive roots are bracketed by sign changes of p_n on a cosine grid
-    x = sqrt(2n+1) cos(theta) (the roots are nearly uniform in theta), then
-    polished by Newton steps kept inside their brackets.  Only the positive
-    half is solved, so nodes come out exactly symmetric.
-    """
-    pp_scale = math.sqrt(2.0 * n)
-    n_pos = n // 2
-
-    roots = np.empty(0)
-    pp_at_roots = np.empty(0)
-    if n_pos:
-        edge = math.sqrt(2.0 * n + 1.0)
-        theta = np.linspace(0.0, math.pi / 2.0, max(64, 8 * n))
-        xs = edge * np.cos(theta)            # descending, ends just above 0
-        vals, _ = _hermite_pair(n, xs)
-        flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-        if len(flips) != n_pos:
-            raise RuntimeError(f"gauss_hermite bracketing failed (n={n})")
-        hi, lo = xs[flips], xs[flips + 1]
-        sign_lo = np.sign(vals[flips + 1])
-
-        z = 0.5 * (lo + hi)
-        pp = np.zeros_like(z)
-        for _ in range(100):
-            pn, pm = _hermite_pair(n, z)
-            pp = pp_scale * pm
-            on_lo_side = np.sign(pn) == sign_lo
-            lo = np.where(on_lo_side, z, lo)
-            hi = np.where(on_lo_side, hi, z)
-            step = pn / pp
-            znew = z - step
-            outside = (znew <= lo) | (znew >= hi)
-            znew = np.where(outside, 0.5 * (lo + hi), znew)
-            done = np.abs(znew - z) <= 1e-15 * np.maximum(1.0, np.abs(znew))
-            z = znew
-            if done.all():
-                break
-        else:
-            raise RuntimeError(f"gauss_hermite Newton did not converge (n={n})")
-        _, pm = _hermite_pair(n, z)
-        roots = z                            # descending positive roots
-        pp_at_roots = pp_scale * pm
-
-    nodes = np.empty(n)
-    weights = np.empty(n)
-    for i in range(n_pos):
-        w = 2.0 / pp_at_roots[i] ** 2
-        nodes[i] = -roots[i]
-        weights[i] = w
-        nodes[n - 1 - i] = roots[i]
-        weights[n - 1 - i] = w
-    if n % 2:
-        _, pm0 = _hermite_pair(n, np.zeros(1))
-        nodes[n_pos] = 0.0
-        weights[n_pos] = 2.0 / (pp_scale * pm0[0]) ** 2
+    nodes, weights = hermgauss(n)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return GaussHermiteRule(nodes=nodes, weights=weights)

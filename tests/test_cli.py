@@ -316,12 +316,33 @@ def test_entropy_rejects_gravity(capsys):
     ("trajectory", "--system", "free", "--b0", "1e308", "--t-steps", "3"),
     ("trajectory", "--system", "ho", "--omega0", "1e200", "--t-steps", "3"),
     ("trajectory", "--system", "ho", "--mass", "1e-320", "--t-steps", "3"),
+    # box widths hi - lo that are infinite or overflow
+    ("entropy", "--box-half-width", "inf"),
+    ("entropy", "--box-half-width", "1e308"),
 ], ids=["trajectory-x0-nan", "trajectory-t-end-inf", "fidelity-x0-inf",
-        "free-b0-1e308", "ho-omega0-1e200", "ho-mass-1e-320"])
+        "free-b0-1e308", "ho-omega0-1e200", "ho-mass-1e-320",
+        "entropy-box-inf", "entropy-box-1e308"])
 def test_non_finite_input_is_range_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "E_RANGE" in err
+    assert err.startswith("error: E_RANGE: ") and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("ncmap", "--system", "ho", "--gravity", "5"),
+    ("ncmap", "--system", "free", "--omega0", "3"),
+    ("ncmap", "--system", "gqw", "--omega0", "2"),
+    ("spectrum", "--system", "gqw", "--omega0", "3"),
+    ("spectrum", "--system", "ho", "--gravity", "5"),
+    ("spectrum", "--system", "free", "--gravity", "5"),
+], ids=["ncmap-ho-gravity", "ncmap-free-omega0", "ncmap-gqw-omega0", "spectrum-gqw-omega0",
+        "spectrum-ho-gravity", "spectrum-free-gravity"])
+def test_unused_omega0_or_gravity_is_range_error(capsys, argv):
+    # the header would record a value the run does not use
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: E_RANGE: ") and err.count("\n") == 1
     assert out == ""
 
 

@@ -1,9 +1,9 @@
 """CLI outputs against the reference files in golden/.
 
-Headers, spectra and noncommutative maps must match byte for byte.  Fidelity
-and trajectory cells depend on the order in which the flow's terms are
-summed, which may move their last digits, so they are compared to
-1e-12 * max(1, |golden|).
+Headers, spectra, entropy tables and noncommutative maps must match byte
+for byte.  Fidelity and trajectory cells depend on the order in which the
+flow's terms are summed, which may move their last digits, so they are
+compared to 1e-12 * max(1, |golden|).
 """
 
 import json
@@ -36,6 +36,10 @@ CASES = {
     "spectrum_ho.csv": ("spectrum", "--system", "ho", "--n-max", "3"),
     "spectrum_gqw.csv": ("spectrum", "--system", "gqw", "--n-max", "20", "--gravity", "3.961"),
     "ncmap_gqw.csv": ("ncmap", "--system", "gqw", "--theta", "0.1", "--eta", "0.2"),
+    "entropy_both.csv": ("entropy",),
+    "entropy_normalized.json": ("entropy", "--entropy-convention", "normalized",
+                                "--box-half-width", "1.5", "--quad-order", "41",
+                                "--format", "json"),
 }
 
 # tables whose cells come from the flows; every other file is compared whole

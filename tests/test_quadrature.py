@@ -72,6 +72,33 @@ def test_scheme_validation():
     with pytest.raises(ValueError):
         QuadratureScheme(kind=SchemeKind.TENSOR_HERMITE, orders=(8,),
                          centers=(0.0, 0.0), scales=(1.0,), bounds=None)
+    # infinite bounds, a width hi - lo that overflows, a non-finite center
+    for bounds in (((-math.inf, 0.0),), ((0.0, math.inf),), ((-1e308, 1e308),)):
+        with pytest.raises(ValueError, match="finite width"):
+            box_scheme((10,), bounds=bounds)
+    for center in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="centers must be finite"):
+            hermite_scheme((8,), centers=(center,))
+
+
+def test_node_budget_rejects_before_allocating(monkeypatch):
+    # the first axis and the smallest chunk, one first-axis slab or a 1D
+    # axis whole, are each held in memory at once
+    monkeypatch.setattr(quad, "_CHUNK_LIMIT", 64)
+
+    def ones(*coords):
+        return np.ones(np.broadcast_shapes(*(np.shape(c) for c in coords)))
+
+    assert integrate(ones, 3, box_scheme((64, 8, 8), [(0.0, 1.0)] * 3)) == pytest.approx(1.0)
+
+    def no_axes(scheme):
+        raise AssertionError("nodes were built for a rejected scheme")
+
+    monkeypatch.setattr(quad, "_axes", no_axes)
+    for orders in ((2, 9, 8), (65, 2), (65,)):
+        sch = box_scheme(orders, [(0.0, 1.0)] * len(orders))
+        with pytest.raises(ValueError, match="smallest chunk"):
+            integrate(ones, len(orders), sch)
 
 
 def test_nonfinite_integrand_reports_node():
