@@ -159,25 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# config-file keys allowed per subcommand (same names as the long flags)
-_COMMON_KEYS = {"format", "out", "mass", "hbar", "charge", "omega0", "gravity"}
-_CONFIG_KEYS = {
-    "fidelity": _COMMON_KEYS | {"system", "b0", "x0", "y0", "px0", "py0", "t-start",
-                                "t-end", "t-steps", "quad-order", "fidelity-form"},
-    "trajectory": _COMMON_KEYS | {"system", "b0", "x0", "y0", "px0", "py0", "t-start",
-                                  "t-end", "t-steps"},
-    "entropy": _COMMON_KEYS | {"system", "b0", "quad-order", "box-half-width",
-                               "entropy-convention"},
-    "spectrum": _COMMON_KEYS | {"system", "b0", "n-max"},
-    "ncmap": _COMMON_KEYS | {"system", "theta", "eta", "mu", "nu",
-                             "x0", "y0", "px0", "py0"},
-}
-
-
-def _config_tokens(path: str, command: str):
-    allowed = _CONFIG_KEYS.get(command)
-    if allowed is None:
+def _config_tokens(path: str, command: str, parser: argparse.ArgumentParser):
+    """A config file's 'key = value' lines as flag tokens; the keys a
+    subcommand allows are its own long flags less --config and --help."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if command not in sub.choices:
         raise ConfigError(f"unknown subcommand {command!r}")
+    allowed = {opt[2:] for action in sub.choices[command]._actions
+               for opt in action.option_strings if opt.startswith("--")} - {"config", "help"}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -198,7 +187,7 @@ def _config_tokens(path: str, command: str):
     return tokens
 
 
-def _inject_config(argv):
+def _inject_config(argv, parser: argparse.ArgumentParser):
     """Expand --config into flag tokens placed before explicit flags, so the
     command line always wins."""
     sub_index = None
@@ -217,7 +206,7 @@ def _inject_config(argv):
             path = tok.split("=", 1)[1]
     if path is None:
         return argv
-    tokens = _config_tokens(path, argv[sub_index])
+    tokens = _config_tokens(path, argv[sub_index], parser)
     return argv[:sub_index + 1] + tokens + rest
 
 
@@ -233,21 +222,18 @@ def _resolve_gravity(ns, system: str) -> float:
     return 2.0 if system in ("gqw", "gqw-b") else 0.0
 
 
+_KINDS = {"ho": SystemKind.HO_FIELD, "free": SystemKind.FREE_FIELD,
+          "gqw": SystemKind.GQW_BALLISTIC, "gqw-b": SystemKind.GQW_FIELD}
+
+
 def _make_params(system: str, b0: float, ns) -> SystemParams:
-    omega0 = _resolve_omega0(ns, system)
-    g = _resolve_gravity(ns, system)
-    common = dict(mass=ns.mass, hbar=ns.hbar, charge=ns.charge)
-    if system == "ho":
-        return SystemParams(kind=SystemKind.HO_FIELD, b0=b0, omega0=omega0, g=g, **common)
-    if system == "free":
-        return SystemParams(kind=SystemKind.FREE_FIELD, b0=b0, omega0=omega0, g=g, **common)
-    if system == "gqw":
-        if b0 != 0:
-            raise ValueError("system gqw is field-free; use gqw-b for b0 > 0")
-        return SystemParams(kind=SystemKind.GQW_BALLISTIC, b0=0.0, omega0=omega0, g=g, **common)
-    if b0 == 0:
-        return SystemParams(kind=SystemKind.GQW_BALLISTIC, b0=0.0, omega0=omega0, g=g, **common)
-    return SystemParams(kind=SystemKind.GQW_FIELD, b0=b0, omega0=omega0, g=g, **common)
+    if system == "gqw" and b0 != 0:
+        raise ValueError("system gqw is field-free; use gqw-b for b0 > 0")
+    kind = _KINDS[system]
+    if system.startswith("gqw") and b0 == 0:
+        kind, b0 = SystemKind.GQW_BALLISTIC, 0.0
+    return SystemParams(kind=kind, mass=ns.mass, hbar=ns.hbar, charge=ns.charge, b0=b0,
+                        omega0=_resolve_omega0(ns, system), g=_resolve_gravity(ns, system))
 
 
 def _initial_point(ns) -> PhasePoint:
@@ -282,25 +268,24 @@ def _check_rows(n_rows: int) -> None:
         raise ValueError(f"the run asks for {n_rows} output rows; at most {_ROW_BUDGET} allowed")
 
 
-def _time_table(ns, b0_list):
-    """Sample times of a run and its (b0, tau) columns, b0 slowest."""
+def _flow_sweep(ns):
+    """The parameters of every b0, all built before any work, the initial
+    point, the sample times and the (b0, tau) columns, b0 slowest."""
+    b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
+    params = [_make_params(ns.system, b0, ns) for b0 in b0_list]
+    c0 = _initial_point(ns)
     _check_rows(ns.t_steps * len(b0_list))
     times = TimeGrid(ns.t_start, ns.t_end, ns.t_steps).times()
-    return times, {"b0": np.repeat(b0_list, len(times)), "tau": np.tile(times, len(b0_list))}
+    table = {"b0": np.repeat(b0_list, len(times)), "tau": np.tile(times, len(b0_list))}
+    return b0_list, params, c0, times, table
 
 
 def _run_fidelity(ns):
-    b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
-    c0 = _initial_point(ns)
-    times, table = _time_table(ns, b0_list)
+    b0_list, params, c0, times, table = _flow_sweep(ns)
     if ns.quad_order < 1:
         raise ValueError("quad-order must be positive")
-    if ns.fidelity_form == "paper" and ns.system != "ho":
-        raise ValueError("fidelity-form 'paper' applies to the trapped system (ho) only")
-
-    form = ns.fidelity_form if ns.system == "ho" else "consistent"
-    curves = [measures.fidelity_curve(_make_params(ns.system, b0, ns), c0, times,
-                                      order=ns.quad_order, form=form) for b0 in b0_list]
+    curves = [measures.fidelity_curve(p, c0, times, order=ns.quad_order, form=ns.fidelity_form)
+              for p in params]
     table["f_closed"] = np.concatenate([c.closed for c in curves])
     table["f_quadrature"] = np.concatenate([c.quad for c in curves])
     # every curve of one run is of the same form, so all or none have f_paper
@@ -318,12 +303,9 @@ def _run_fidelity(ns):
 
 
 def _run_trajectory(ns):
-    b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
-    c0 = _initial_point(ns)
-    times, table = _time_table(ns, b0_list)
-    points = np.concatenate([
-        evolve(TrajectorySolution(_make_params(ns.system, b0, ns), c0), times).as_array()
-        for b0 in b0_list])
+    b0_list, params, c0, times, table = _flow_sweep(ns)
+    points = np.concatenate([evolve(TrajectorySolution(p, c0), times).as_array()
+                             for p in params])
     table.update(zip(("x", "y", "px", "py"), points.T))
     cfg = _config("trajectory", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", *_FLOW_KEYS,
                                      "epsilon_convention", "time_variable"), b0=b0_list)
@@ -346,9 +328,8 @@ def _run_entropy(ns):
     systems = ["ho", "free"] if ns.system == "both" else [ns.system]
     pairs = []
     for name in systems:
-        kind = SystemKind.HO_FIELD if name == "ho" else SystemKind.FREE_FIELD
         pairs += measures.entropy_vs_field(
-            kind, b0_list, mass=ns.mass, hbar=ns.hbar, charge=ns.charge, omega0=omega0,
+            _KINDS[name], b0_list, mass=ns.mass, hbar=ns.hbar, charge=ns.charge, omega0=omega0,
             box_half_width=ns.box_half_width, nodes_per_axis=ns.quad_order,
             convention=convention,
         )
@@ -506,7 +487,7 @@ def main(argv=None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        expanded = _inject_config(raw)
+        expanded = _inject_config(raw, parser)
     except ConfigError as exc:
         print(f"error: E_PARSE: {exc}", file=sys.stderr)
         return 2

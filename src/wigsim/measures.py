@@ -154,6 +154,9 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
         ct = paper_form_point(params.omega, times, c0)
     else:
         ct = evolve(TrajectorySolution(params, c0), times)
+    # the closed and printed forms square the center coordinates: below 2^510, |c0|^2 is finite
+    if not np.all(np.abs(c0.as_array()) < 2.0 ** 510):
+        raise ValueError("initial point out of range: |c0|^2 overflows")
     closed = fidelity_gaussian_closed(c0, ct)
     sectors0 = GaussianWigner(c0).sectors()
     quad = np.ones_like(times)
@@ -214,6 +217,18 @@ def shannon_entropy(state, scheme: quadrature.QuadratureScheme,
     return EntropyResult(value=value, convention=convention, scheme=scheme)
 
 
+def _check_sector_precision(params: SystemParams) -> None:
+    """The ground-state sectors are Gaussians with precisions r/hbar and
+    1/(r hbar), r = lam/kappa, which must be positive and finite; so must
+    their product 1/hbar^2, which the raw entropy's mass-times-entropy terms reach."""
+    ratio = params.lam / params.kappa
+    hbar = params.hbar
+    if not (ratio > 0 and all(0.0 < s < math.inf for s in (ratio / hbar, 1.0 / ratio / hbar))
+            and 1.0 / hbar / hbar < math.inf):
+        raise ValueError("sector precisions lam/(kappa hbar), kappa/(lam hbar) and 1/hbar^2 "
+                         "are out of range")
+
+
 def entropy_vs_field(kind: SystemKind, b0_values, *, mass: float = 1.0, hbar: float = 1.0,
                      charge: float = 1.0, omega0: float = 1.0, box_half_width: float = 8.0,
                      nodes_per_axis: int = 101,
@@ -239,6 +254,7 @@ def entropy_vs_field(kind: SystemKind, b0_values, *, mass: float = 1.0, hbar: fl
             state = LandauState(0, params)
         else:
             raise ValueError("entropy sweep is defined for the trapped and free systems")
+        _check_sector_precision(params)
         box = quadrature.box_scheme((nodes_per_axis,) * 2, [(-L, L)] * 2)
         (wa, _), (wb, _) = state.sectors()
         sa = shannon_entropy(wa, box, convention).value

@@ -10,6 +10,7 @@ directions, the Airy state along x and px).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -19,14 +20,10 @@ from .specfun import _unwrap_scalar, airy_ai, airy_zero, laguerre
 
 __all__ = [
     "TruncationError",
-    "ProductState",
-    "Gaussian2D",
     "GaussianWigner",
     "StationaryHOState",
-    "HOSector",
     "LandauState",
     "GQWState",
-    "GQWYSector",
     "ho_energy",
     "landau_energy",
     "gqw_energy",
@@ -70,11 +67,19 @@ class Gaussian2D(HOSector):
 
 class ProductState:
     """A 4D state W_a W_b: sectors() gives each 2D factor with the (x, y, px, py)
-    indices of its two arguments, or raises ValueError on a non-product level."""
+    indices of its two arguments, or raises ValueError on a non-product level.
+    value and the sector_x/sector_y properties are read off sectors()."""
 
+    def value(self, x, y, px, py):
+        z = (x, y, px, py)
+        (wa, (i, j)), (wb, (k, l)) = self.sectors()
+        return _unwrap_scalar(np.asarray(wa.value(z[i], z[j])) * np.asarray(wb.value(z[k], z[l])))
+
+    @property
     def sector_x(self):
         return self.sectors()[0][0]
 
+    @property
     def sector_y(self):
         return self.sectors()[1][0]
 
@@ -88,15 +93,6 @@ class GaussianWigner(ProductState):
 
     def __init__(self, center: PhasePoint = PhasePoint(0.0, 0.0, 0.0, 0.0)):
         self.center = PhasePoint(*(float(c) for c in center))
-
-    def value(self, x, y, px, py):
-        c = self.center
-        dx = np.asarray(x, dtype=float) - c.x
-        dy = np.asarray(y, dtype=float) - c.y
-        dpx = np.asarray(px, dtype=float) - c.px
-        dpy = np.asarray(py, dtype=float) - c.py
-        out = np.exp(-(dx * dx + dy * dy + dpx * dpx + dpy * dpy)) / math.pi ** 2
-        return _unwrap_scalar(out)
 
     def sectors(self):
         c = self.center
@@ -236,7 +232,7 @@ class GQWYSector:
         return self.value_xi(xi)
 
 
-class GQWState:
+class GQWState(ProductState):
     """Stationary Wigner state of a particle bouncing in uniform gravity.
 
     The y-sector is the Airy function of the conserved variable
@@ -271,16 +267,11 @@ class GQWState:
             raise ValueError("y_max must clear the turning point by at least 5 Airy widths")
         self.xi_max = self.energy + 12.0 / self.alpha
         self.p_cut = math.sqrt(2.0 * m * self.xi_max)
-        self.sector_x = Gaussian2D(x_center)
-        self.sector_y = GQWYSector(self)
+        self._sectors = (Gaussian2D(x_center), (0, 2)), (GQWYSector(self), (1, 3))
         self.norm = normalize_gqw(self)
 
-    def value(self, x, y, px, py):
-        out = np.asarray(self.sector_x.value(x, px)) * np.asarray(self.sector_y.value(y, py))
-        return _unwrap_scalar(out)
-
     def sectors(self):
-        return (self.sector_x, (0, 2)), (self.sector_y, (1, 3))
+        return self._sectors
 
 
 def gqw_energy(n_y, params: SystemParams):
@@ -293,7 +284,13 @@ def gqw_energy(n_y, params: SystemParams):
     if not params.g > 0:
         raise ValueError("gravitational spectrum requires g > 0")
     m, g, hbar = params.mass, params.g, params.hbar
-    return -((m * g * g * hbar * hbar / 2.0) ** (1.0 / 3.0)) * airy_zero(n_y)
+    # as (m/2)^(1/3) g^(2/3) hbar^(2/3): m g^2 hbar^2 itself under- or overflows first
+    scale = (m / 2.0) ** (1.0 / 3.0) * g ** (2.0 / 3.0) * hbar ** (2.0 / 3.0)
+    zeros = airy_zero(n_y)
+    if not (sys.float_info.min <= scale and scale * float(np.max(-zeros)) < math.inf):
+        raise ValueError("gravitational energy scale (m g^2 hbar^2 / 2)^(1/3) or the "
+                         "energies it gives are out of range")
+    return -scale * zeros
 
 
 def normalize_gqw(state: GQWState) -> float:

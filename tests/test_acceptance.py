@@ -240,7 +240,7 @@ def test_criterion_09_entropy_shape():
     box4 = quadrature.box_scheme((61,) * 4, [(-8.0, 8.0)] * 4)
     box2 = quadrature.box_scheme((61,) * 2, [(-8.0, 8.0)] * 2)
     s4 = shannon_entropy(g4, box4).value
-    ssum = shannon_entropy(g4.sector_x(), box2).value + shannon_entropy(g4.sector_y(), box2).value
+    ssum = shannon_entropy(g4.sector_x, box2).value + shannon_entropy(g4.sector_y, box2).value
     additive = abs(s4 - ssum) <= 1e-8
     target = math.log(math.pi ** 2) + 2.0
     snorm = shannon_entropy(g4, box4, EntropyConvention.NORMALIZED_BOX).value

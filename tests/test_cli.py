@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,23 @@ def test_config_unknown_key(capsys, tmp_path):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("command", ["fidelity", "trajectory", "entropy", "spectrum", "ncmap"])
+def test_config_keys_are_the_long_flags(capsys, tmp_path, command):
+    code, help_text, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    flags = set(re.findall(r"--[a-z0-9][a-z0-9-]*", help_text)) - {"--config", "--help"}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{flag[2:]} = 1\n" for flag in sorted(flags)))
+    argv = cli._inject_config([command, "--config", str(cfg)], cli.build_parser())
+    # the config tokens go between the subcommand and the explicit flags
+    assert set(argv[1:-2:2]) == flags
+
+    cfg.write_text(f"config = {cfg}\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: E_PARSE: {cfg}:1: unknown key 'config' for {command}\n"
+
+
 def test_config_missing_equals(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just a line\n")
@@ -329,6 +347,29 @@ def test_non_finite_input_is_range_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # |c0|^2 overflows in the fidelity forms
+    ("fidelity", "--x0", "1e200", "--t-steps", "3"),
+    # the b0 = 0.1 parameters overflow; the b0 = 0 curve must not run first
+    ("fidelity", "--mass", "1e-300", "--t-steps", "3"),
+    # sector precision lam/kappa that underflows to 0, or 1/hbar^2 that overflows
+    ("entropy", "--mass", "1e300", "--b0", "0.5"),
+    ("entropy", "--system", "free", "--b0", "1e-300"),
+    ("entropy", "--hbar", "1e-300", "--b0", "0.5"),
+], ids=["fidelity-x0-1e200", "fidelity-mass-1e-300", "entropy-mass-1e300",
+        "entropy-free-b0-1e-300", "entropy-hbar-1e-300"])
+def test_extreme_parameters_leave_at_most_one_error_line(capsys, argv):
+    # warnings are errors here, so a numpy RuntimeWarning fails the case
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: E_") and err.count("\n") == 1
+        assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("ncmap", "--system", "ho", "--gravity", "5"),
     ("ncmap", "--system", "free", "--omega0", "3"),
@@ -348,9 +389,9 @@ def test_unused_omega0_or_gravity_is_range_error(capsys, argv):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", [
-    ("spectrum", "--system", "gqw", "--gravity", "1e200", "--n-max", "2"),
+    ("spectrum", "--system", "ho", "--hbar", "1e307", "--n-max", "20"),
     ("trajectory", "--system", "gqw", "--b0", "0", "--gravity", "1e308", "--t-steps", "3"),
-], ids=["spectrum-gqw-inf-energy", "trajectory-gqw-inf-drop"])
+], ids=["spectrum-ho-inf-energy", "trajectory-gqw-inf-drop"])
 def test_non_finite_cell_is_numeric_error(capsys, argv, fmt):
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
     assert code == 3

@@ -244,8 +244,8 @@ class TestEntropy:
         sch4 = box_scheme((61,) * 4, [(-8.0, 8.0)] * 4)
         sch2 = box_scheme((61,) * 2, [(-8.0, 8.0)] * 2)
         total = shannon_entropy(w, sch4).value
-        sx = shannon_entropy(w.sector_x(), sch2).value
-        sy = shannon_entropy(w.sector_y(), sch2).value
+        sx = shannon_entropy(w.sector_x, sch2).value
+        sy = shannon_entropy(w.sector_y, sch2).value
         assert total == pytest.approx(sx + sy, abs=1e-8)
 
     def test_normalized_convention_relation(self):

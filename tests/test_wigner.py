@@ -55,9 +55,16 @@ class TestGaussian:
         sch = hermite_scheme((24,) * 4, centers=(1.0, -0.5, 0.3, 2.0))
         assert integrate(w.value, 4, sch) == pytest.approx(1.0, abs=1e-10)
 
+    def test_value_is_the_4d_gaussian(self):
+        # value is read off the two sectors; check it against the 4D formula
+        c = PhasePoint(1.0, -0.5, 0.3, 2.0)
+        pts = np.random.default_rng(5).uniform(-2.0, 3.0, (4, 200))
+        want = np.exp(-np.sum((pts - np.array(c)[:, None]) ** 2, axis=0)) / math.pi ** 2
+        assert np.allclose(GaussianWigner(c).value(*pts), want, rtol=1e-14, atol=0.0)
+
     def test_sector_product(self):
         w = GaussianWigner(PhasePoint(1.0, -0.5, 0.3, 2.0))
-        gx, gy = w.sector_x(), w.sector_y()
+        gx, gy = w.sector_x, w.sector_y
         val = gx.value(0.2, 0.1) * gy.value(-0.3, 1.2)
         assert val == pytest.approx(w.value(0.2, -0.3, 0.1, 1.2), rel=1e-12)
 
@@ -116,11 +123,11 @@ class TestStationaryHO:
     def test_sector_factorization_ground_only(self):
         p = trap_params(b0=0.7, omega0=1.1)
         ground = StationaryHOState(0, 0, p)
-        val = ground.sector_x().value(0.4, -0.2) * ground.sector_y().value(0.1, 0.8)
+        val = ground.sector_x.value(0.4, -0.2) * ground.sector_y.value(0.1, 0.8)
         assert val == pytest.approx(ground.value(0.4, 0.1, -0.2, 0.8), rel=1e-12)
         excited = StationaryHOState(1, 0, p)
         with pytest.raises(ValueError):
-            excited.sector_x()
+            excited.sector_x
 
     def test_energy_formula(self):
         p = trap_params(b0=1.0, omega0=1.0)
@@ -219,6 +226,27 @@ class TestGQW:
         assert abs(doubled - total) <= 1e-6 * total
         assert state.norm == pytest.approx(1.0 / total, rel=1e-12)
         assert normalize_gqw(state) == pytest.approx(1.0 / total, rel=1e-12)
+
+    @pytest.mark.parametrize("g, hbar", [(1e-300, 1.0), (2.0, 1e-300), (1e-200, 1e-150),
+                                         (1e200, 1.0)])
+    def test_energy_at_extreme_scales_against_mpmath(self, g, hbar):
+        # m g^2 hbar^2 under- or overflows here, though the energies are normal floats
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        p = SystemParams(kind=SystemKind.GQW_BALLISTIC, g=g, hbar=hbar)
+        scale = mpmath.cbrt(mpmath.mpf(g) ** 2 * mpmath.mpf(hbar) ** 2 / 2)
+        for n, e in zip((1, 2), gqw_energy(np.array([1, 2]), p)):
+            want = -scale * mpmath.airyaizero(n)
+            assert abs(e - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("mass, g, hbar", [
+        (1e-300, 1e-300, 1e-300),   # the scale underflows
+        (1e300, 1e300, 2e12),       # the scale is finite, the energies are not
+    ], ids=["scale-underflow", "energy-overflow"])
+    def test_energy_scale_out_of_range(self, mass, g, hbar):
+        p = SystemParams(kind=SystemKind.GQW_BALLISTIC, mass=mass, g=g, hbar=hbar)
+        with pytest.raises(ValueError, match="energy scale"):
+            gqw_energy(np.array([1, 2]), p)
 
     def test_energy_of_level_array(self):
         p = gqw_params(3.9)
@@ -337,6 +365,13 @@ class TestSectors:
     def test_excited_levels_have_no_sectors(self, make):
         with pytest.raises(ValueError):
             make().sectors()
+
+    def test_sector_properties_are_read_only(self):
+        state = GQWState(1, gqw_params())
+        assert state.sector_x is state.sectors()[0][0]
+        assert state.sector_y is state.sectors()[1][0]
+        with pytest.raises(AttributeError):
+            state.sector_x = Gaussian2D()
 
 
 class TestStarGen:
