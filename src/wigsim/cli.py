@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, measures, quadrature, wigner
 from .model import PhasePoint, SystemKind, SystemParams, TimeGrid
-from .dynamics import TrajectorySolution, evolve
+from .dynamics import evolve
 from .ncmap import (
     NCParams,
     auxiliary_s,
@@ -304,8 +304,7 @@ def _run_fidelity(ns):
 
 def _run_trajectory(ns):
     b0_list, params, c0, times, table = _flow_sweep(ns)
-    points = np.concatenate([evolve(TrajectorySolution(p, c0), times).as_array()
-                             for p in params])
+    points = np.concatenate([evolve(p, c0, times).as_array() for p in params])
     table.update(zip(("x", "y", "px", "py"), points.T))
     cfg = _config("trajectory", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", *_FLOW_KEYS,
                                      "epsilon_convention", "time_variable"), b0=b0_list)

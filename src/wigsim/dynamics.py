@@ -15,33 +15,13 @@ affine map z(t) = M(t) z0 + b(t) with M symplectic (flow_map).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import PhasePoint, SystemParams
 from .specfun import _unwrap_scalar
 
-__all__ = [
-    "TrajectorySolution",
-    "flow_map",
-    "evolve",
-    "evolve_ho",
-    "evolve_free",
-    "evolve_gqw_ballistic",
-    "evolve_gqw_field",
-    "canonical_rhs",
-    "ode_residual",
-    "flow_jacobian",
-]
-
-
-@dataclass(frozen=True)
-class TrajectorySolution:
-    """A system together with the initial condition it evolves."""
-
-    params: SystemParams
-    initial: PhasePoint
+__all__ = ["flow_map", "evolve", "canonical_rhs", "ode_residual", "flow_jacobian"]
 
 
 def _quadratic_map(omega: float, big_omega: float, mass: float, t) -> np.ndarray:
@@ -127,52 +107,14 @@ def _transport(m: np.ndarray, b, initial: PhasePoint) -> PhasePoint:
     return PhasePoint(*(_unwrap_scalar(z[..., k]) for k in range(4)))
 
 
-def evolve(sol: TrajectorySolution, t) -> PhasePoint:
-    """Phase-space point(s) at time(s) t under the exact flow of sol.params.
+def evolve(params: SystemParams, initial: PhasePoint, t) -> PhasePoint:
+    """Phase-space point(s) at time(s) t under the exact flow of params,
+    starting from initial.
 
     Covers every kind, including the field-free limits: a FREE_FIELD or
     GQW_FIELD system with b0 = 0 moves ballistically.
     """
-    return _transport(*flow_map(sol.params, t), sol.initial)
-
-
-def evolve_ho(sol: TrajectorySolution, t) -> PhasePoint:
-    """Trapped charge in a transverse field: rotation at omega times
-    oscillation at big_omega.  Requires big_omega > 0."""
-    if not sol.params.big_omega > 0:
-        raise ValueError("evolve_ho needs big_omega > 0 (some trap or field)")
-    return evolve(sol, t)
-
-
-def evolve_free(sol: TrajectorySolution, t) -> PhasePoint:
-    """Free charge in a transverse field; the omega0 -> 0 limit of evolve_ho.
-
-    Rejects omega = 0 (evolve() covers that straight-line limit).
-    """
-    p = sol.params
-    if p.omega0 != 0:
-        raise ValueError("evolve_free requires omega0 = 0")
-    if not p.omega > 0:
-        raise ValueError("evolve_free requires omega > 0; at b0 = 0 motion is ballistic")
-    return evolve(sol, t)
-
-
-def evolve_gqw_ballistic(sol: TrajectorySolution, t) -> PhasePoint:
-    """Field-free motion under uniform gravity along -y (g may be 0)."""
-    if sol.params.b0 != 0:
-        raise ValueError("ballistic flow requires b0 = 0")
-    return evolve(sol, t)
-
-
-def evolve_gqw_field(sol: TrajectorySolution, t) -> PhasePoint:
-    """Uniform gravity plus transverse field: cyclotron motion around a
-    uniformly drifting center.  Requires omega > 0."""
-    p = sol.params
-    if p.omega0 != 0:
-        raise ValueError("evolve_gqw_field requires omega0 = 0")
-    if not p.omega > 0:
-        raise ValueError("evolve_gqw_field requires omega > 0; use the ballistic flow at b0 = 0")
-    return evolve(sol, t)
+    return _transport(*flow_map(params, t), initial)
 
 
 def canonical_rhs(params: SystemParams, point: PhasePoint) -> np.ndarray:
@@ -192,27 +134,28 @@ def canonical_rhs(params: SystemParams, point: PhasePoint) -> np.ndarray:
     )
 
 
-def ode_residual(sol: TrajectorySolution, t: float, h: float = 1e-5) -> float:
+def ode_residual(params: SystemParams, initial: PhasePoint, t: float, h: float = 1e-5) -> float:
     """Max abs difference between the central-difference derivative of the
     closed-form flow and the canonical right-hand side at time t."""
-    up = evolve(sol, t + h).as_array()
-    um = evolve(sol, t - h).as_array()
+    up = evolve(params, initial, t + h).as_array()
+    um = evolve(params, initial, t - h).as_array()
     deriv = (up - um) / (2.0 * h)
-    rhs = canonical_rhs(sol.params, evolve(sol, t))
+    rhs = canonical_rhs(params, evolve(params, initial, t))
     return float(np.max(np.abs(deriv - rhs)))
 
 
-def flow_jacobian(sol: TrajectorySolution, t: float, h: float = 1e-6) -> np.ndarray:
+def flow_jacobian(params: SystemParams, initial: PhasePoint, t: float,
+                  h: float = 1e-6) -> np.ndarray:
     """Jacobian of the time-t flow map with respect to the initial point,
     by central differences.  Exactly symplectic flows give det = 1."""
-    base = np.asarray(sol.initial.as_array(), dtype=float)
+    base = np.asarray(initial.as_array(), dtype=float)
     jac = np.empty((4, 4))
     for j in range(4):
         up = base.copy()
         um = base.copy()
         up[j] += h
         um[j] -= h
-        fp = evolve(TrajectorySolution(sol.params, PhasePoint(*up)), t).as_array()
-        fm = evolve(TrajectorySolution(sol.params, PhasePoint(*um)), t).as_array()
+        fp = evolve(params, PhasePoint(*up), t).as_array()
+        fm = evolve(params, PhasePoint(*um), t).as_array()
         jac[:, j] = (fp - fm) / (2.0 * h)
     return jac

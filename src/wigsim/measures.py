@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .dynamics import TrajectorySolution, _quadratic_map, _transport, evolve
+from .dynamics import _quadratic_map, _transport, evolve
 from .model import PhasePoint, SystemKind, SystemParams
 from .specfun import _unwrap_scalar
 from .wigner import GaussianWigner, LandauState, StationaryHOState
@@ -31,7 +31,6 @@ __all__ = [
     "FidelityCurve",
     "fidelity_curve",
     "EntropyConvention",
-    "EntropyResult",
     "shannon_entropy",
     "entropy_vs_field",
 ]
@@ -116,10 +115,11 @@ def fidelity_ho_paper(omega, t, c0: PhasePoint):
     t = np.asarray(t, dtype=float)
     s_tot = c0.x ** 2 + c0.y ** 2 + c0.px ** 2 + c0.py ** 2
     j_tot = c0.py * c0.x - c0.px * c0.y
-    return _unwrap_scalar(np.exp(
-        s_tot * (np.cos(t) * np.cos(omega * t) - 1.0)
-        + 2.0 * j_tot * np.sin(t) * np.sin(omega * t)
-    ))
+    with np.errstate(over="ignore"):   # callers check the cells are finite
+        return _unwrap_scalar(np.exp(
+            s_tot * (np.cos(t) * np.cos(omega * t) - 1.0)
+            + 2.0 * j_tot * np.sin(t) * np.sin(omega * t)
+        ))
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     if form == "paper":
         ct = paper_form_point(params.omega, times, c0)
     else:
-        ct = evolve(TrajectorySolution(params, c0), times)
+        ct = evolve(params, c0, times)
     # the closed and printed forms square the center coordinates: below 2^510, |c0|^2 is finite
     if not np.all(np.abs(c0.as_array()) < 2.0 ** 510):
         raise ValueError("initial point out of range: |c0|^2 overflows")
@@ -175,13 +175,6 @@ class EntropyConvention(enum.Enum):
     NORMALIZED_BOX = "normalized"
 
 
-@dataclass(frozen=True)
-class EntropyResult:
-    value: float
-    convention: EntropyConvention
-    scheme: quadrature.QuadratureScheme
-
-
 def _box_mass(state, scheme: quadrature.QuadratureScheme) -> float:
     """Integral of |W| over the scheme's box."""
     return quadrature.integrate(
@@ -190,7 +183,7 @@ def _box_mass(state, scheme: quadrature.QuadratureScheme) -> float:
 
 
 def shannon_entropy(state, scheme: quadrature.QuadratureScheme,
-                    convention: EntropyConvention = EntropyConvention.RAW_BOX) -> EntropyResult:
+                    convention: EntropyConvention = EntropyConvention.RAW_BOX) -> float:
     """S = -integral |W| ln |W| over the scheme's box.
 
     RAW_BOX uses the state as printed; NORMALIZED_BOX rescales |W| by its
@@ -199,7 +192,6 @@ def shannon_entropy(state, scheme: quadrature.QuadratureScheme,
     """
     if scheme.kind is not quadrature.SchemeKind.UNIFORM_BOX:
         raise ValueError("entropy uses a uniform box scheme")
-    dims = scheme.dims
 
     scale = 1.0
     if convention is EntropyConvention.NORMALIZED_BOX:
@@ -213,8 +205,7 @@ def shannon_entropy(state, scheme: quadrature.QuadratureScheme,
         safe = np.where(w > 0.0, w, 1.0)
         return np.where(w > 0.0, -w * np.log(safe), 0.0)
 
-    value = quadrature.integrate(integrand, dims, scheme)
-    return EntropyResult(value=value, convention=convention, scheme=scheme)
+    return quadrature.integrate(integrand, scheme.dims, scheme)
 
 
 def _check_sector_precision(params: SystemParams) -> None:
@@ -257,8 +248,8 @@ def entropy_vs_field(kind: SystemKind, b0_values, *, mass: float = 1.0, hbar: fl
         _check_sector_precision(params)
         box = quadrature.box_scheme((nodes_per_axis,) * 2, [(-L, L)] * 2)
         (wa, _), (wb, _) = state.sectors()
-        sa = shannon_entropy(wa, box, convention).value
-        sb = shannon_entropy(wb, box, convention).value
+        sa = shannon_entropy(wa, box, convention)
+        sb = shannon_entropy(wb, box, convention)
         ma, mb = ((_box_mass(wa, box), _box_mass(wb, box))
                   if convention is EntropyConvention.RAW_BOX else (1.0, 1.0))
         rows.append((b0, mb * sa + ma * sb))

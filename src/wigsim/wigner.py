@@ -54,7 +54,8 @@ class HOSector:
         da = np.asarray(a, dtype=float) - self.center[0]
         db = np.asarray(b, dtype=float) - self.center[1]
         arg = (self.ratio * da * da + self.cross * da * db + db * db / self.ratio) / self.hbar
-        out = self.norm * np.exp(-arg) / (math.pi * self.hbar)
+        with np.errstate(over="ignore"):   # callers check the cells are finite
+            out = self.norm * np.exp(-arg) / (math.pi * self.hbar)
         return _unwrap_scalar(out)
 
 

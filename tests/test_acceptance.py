@@ -12,15 +12,7 @@ import pytest
 import wigsim.cli as cli
 from oracles import airy_ode_values
 from wigsim import measures, quadrature
-from wigsim.dynamics import (
-    TrajectorySolution,
-    evolve,
-    evolve_free,
-    evolve_gqw_ballistic,
-    evolve_ho,
-    flow_jacobian,
-    ode_residual,
-)
+from wigsim.dynamics import evolve, flow_jacobian, ode_residual
 from wigsim.measures import EntropyConvention, entropy_vs_field, shannon_entropy
 from wigsim.model import PhasePoint, SystemKind, SystemParams, hamiltonian_value
 from wigsim.ncmap import NCParams, auxiliary_s, effective_b0_ho, sigma_invertible
@@ -73,13 +65,12 @@ def test_criterion_01_closed_vs_quadrature_fidelity():
 
 def test_criterion_02_trap_beating_structure():
     p0 = _params(SystemKind.HO_FIELD, 0.0)
-    sol0 = TrajectorySolution(p0, C0)
     dense = np.linspace(0.0, 4 * np.pi, 4001)
-    f = measures.fidelity_gaussian_closed(C0, evolve_ho(sol0, dense))
+    f = measures.fidelity_gaussian_closed(C0, evolve(p0, C0, dense))
     k = int(np.argmin(f))
     min_at_pi = abs(dense[k] - np.pi) <= dense[1] and \
         abs(float(f[k]) - math.exp(-8.0)) <= 1e-9
-    shift = measures.fidelity_gaussian_closed(C0, evolve_ho(sol0, dense[:1000] + 2 * np.pi))
+    shift = measures.fidelity_gaussian_closed(C0, evolve(p0, C0, dense[:1000] + 2 * np.pi))
     periodic = float(np.max(np.abs(shift - f[:1000]))) <= 1e-9
 
     def first_revival(omega, form):
@@ -89,7 +80,7 @@ def test_criterion_02_trap_beating_structure():
         else:
             p = _params(SystemKind.HO_FIELD, 2.0 * omega)
             ts = np.arange(0.0, 700.0, 1e-3)
-            vals = measures.fidelity_gaussian_closed(C0, evolve_ho(TrajectorySolution(p, C0), ts))
+            vals = measures.fidelity_gaussian_closed(C0, evolve(p, C0, ts))
         dip = np.nonzero(vals < 0.5)[0]
         rise = np.nonzero(vals[dip[0]:] > 0.999)[0]
         return float(ts[dip[0] + rise[0]])
@@ -106,10 +97,9 @@ def test_criterion_03_free_charge_periodicity():
     worst = 0.0
     for omega in (0.05, 0.25, 0.5):
         p = _params(SystemKind.FREE_FIELD, 2.0 * omega)
-        sol = TrajectorySolution(p, C0)
         ts = rng.uniform(0.0, 4 * np.pi, size=20)
-        d = np.abs(measures.fidelity_gaussian_closed(C0, evolve_free(sol, ts + np.pi / omega))
-                   - measures.fidelity_gaussian_closed(C0, evolve_free(sol, ts)))
+        d = np.abs(measures.fidelity_gaussian_closed(C0, evolve(p, C0, ts + np.pi / omega))
+                   - measures.fidelity_gaussian_closed(C0, evolve(p, C0, ts)))
         worst = max(worst, float(d.max()))
     _report(3, "free-charge fidelity repeats with period pi/omega to 1e-9 "
                "at 20 random times for omega in {0.05, 0.25, 0.5}", worst <= 1e-9,
@@ -122,7 +112,7 @@ def test_criterion_04_gravitational_suppression_ordering():
         vals = []
         for b0 in (0.0, 0.1, 0.5, 1.0):
             kind = SystemKind.GQW_BALLISTIC if b0 == 0.0 else SystemKind.GQW_FIELD
-            ct = evolve(TrajectorySolution(_params(kind, b0), C0), t)
+            ct = evolve(_params(kind, b0), C0, t)
             vals.append(float(measures.fidelity_gaussian_closed(C0, ct)))
         ok = ok and all(b < a for a, b in zip(vals, vals[1:]))
     _report(4, "gravitational fidelity at t in {0.25, 0.5, 1.0} decreases strictly "
@@ -139,14 +129,13 @@ def test_criterion_05_flow_self_consistency():
     ts = np.linspace(0.0, 20.0, 41)[1:]
     worst_res = worst_drift = worst_det = 0.0
     for p in cases:
-        sol = TrajectorySolution(p, C0)
-        worst_res = max(worst_res, max(ode_residual(sol, t, h=1e-5) for t in ts))
+        worst_res = max(worst_res, max(ode_residual(p, C0, t, h=1e-5) for t in ts))
         e0 = hamiltonian_value(p, C0)
         worst_drift = max(worst_drift,
-                          max(abs(hamiltonian_value(p, evolve(sol, t)) - e0) for t in ts))
+                          max(abs(hamiltonian_value(p, evolve(p, C0, t)) - e0) for t in ts))
         # flows are affine in the initial point, so a larger step only cuts rounding
         worst_det = max(worst_det,
-                        max(abs(np.linalg.det(flow_jacobian(sol, t, h=1e-3)) - 1.0) for t in ts))
+                        max(abs(np.linalg.det(flow_jacobian(p, C0, t, h=1e-3)) - 1.0) for t in ts))
     _report(5, "canonical residuals <= 1e-8, energy drift <= 1e-10 on [0, 20], "
                "flow determinant = 1 +- 1e-10 for all four flows",
             worst_res <= 1e-8 and worst_drift <= 1e-10 and worst_det <= 1e-10,
@@ -166,9 +155,9 @@ def test_criterion_06_stationarity_along_flows():
     for _ in range(100):
         z0 = PhasePoint(*rng.uniform(-2.0, 2.0, size=4))
         t = float(rng.uniform(0.0, 10.0))
-        zt = evolve_ho(TrajectorySolution(pho, z0), t)
+        zt = evolve(pho, z0, t)
         worst = max(worst, abs(float(ho.value(*zt)) - float(ho.value(*z0))))
-        zt = evolve_free(TrajectorySolution(pfr, z0), t)
+        zt = evolve(pfr, z0, t)
         worst = max(worst, abs(float(lan.value(*zt)) - float(lan.value(*z0))))
 
     # the Airy sector lives on a declared bounded domain; keep both endpoints inside
@@ -177,7 +166,7 @@ def test_criterion_06_stationarity_along_flows():
         z0 = PhasePoint(0.0, float(rng.uniform(0.0, gqw.y_max)),
                         0.0, float(rng.uniform(-gqw.p_cut, gqw.p_cut)))
         t = float(rng.uniform(0.0, 0.5))
-        zt = evolve_gqw_ballistic(TrajectorySolution(pgq, z0), t)
+        zt = evolve(pgq, z0, t)
         if not (0.0 <= zt.y <= gqw.y_max and abs(zt.py) <= gqw.p_cut):
             continue
         worst = max(worst, abs(float(gqw.sector_y.value(zt.y, zt.py))
@@ -239,11 +228,11 @@ def test_criterion_09_entropy_shape():
     g4 = GaussianWigner(PhasePoint(0.0, 0.0, 0.0, 0.0))
     box4 = quadrature.box_scheme((61,) * 4, [(-8.0, 8.0)] * 4)
     box2 = quadrature.box_scheme((61,) * 2, [(-8.0, 8.0)] * 2)
-    s4 = shannon_entropy(g4, box4).value
-    ssum = shannon_entropy(g4.sector_x, box2).value + shannon_entropy(g4.sector_y, box2).value
+    s4 = shannon_entropy(g4, box4)
+    ssum = shannon_entropy(g4.sector_x, box2) + shannon_entropy(g4.sector_y, box2)
     additive = abs(s4 - ssum) <= 1e-8
     target = math.log(math.pi ** 2) + 2.0
-    snorm = shannon_entropy(g4, box4, EntropyConvention.NORMALIZED_BOX).value
+    snorm = shannon_entropy(g4, box4, EntropyConvention.NORMALIZED_BOX)
     gaussian_value = abs(snorm - target) <= 1e-3
 
     b0s = [0.1, 0.25, 0.5, 1.0]

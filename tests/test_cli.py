@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import wigsim.cli as cli
-from wigsim.dynamics import TrajectorySolution, evolve_gqw_field
+from wigsim.dynamics import evolve
 from wigsim.measures import entropy_vs_field
 from wigsim.model import PhasePoint, SystemKind, SystemParams
 from wigsim.wigner import TruncationError
@@ -65,11 +65,10 @@ def test_trajectory_gqw_b_matches_field_flow(capsys):
     assert code == 0, err
     _, _, rows = parse_csv(out)
     params = SystemParams(kind=SystemKind.GQW_FIELD, b0=0.5, g=2.0)
-    sol = TrajectorySolution(params, PhasePoint(1.0, 1.0, 1.0, 1.0))
     taus = [float(r["tau"]) for r in rows]
     assert taus == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0], rel=1e-12)
     for row, tau in zip(rows, taus):
-        pt = evolve_gqw_field(sol, tau)
+        pt = evolve(params, PhasePoint(1.0, 1.0, 1.0, 1.0), tau)
         assert float(row["x"]) == pytest.approx(pt.x, rel=1e-10, abs=1e-10)
         assert float(row["y"]) == pytest.approx(pt.y, rel=1e-10, abs=1e-10)
         assert float(row["px"]) == pytest.approx(pt.px, rel=1e-10, abs=1e-10)
@@ -391,11 +390,15 @@ def test_unused_omega0_or_gravity_is_range_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--system", "ho", "--hbar", "1e307", "--n-max", "20"),
     ("trajectory", "--system", "gqw", "--b0", "0", "--gravity", "1e308", "--t-steps", "3"),
-], ids=["spectrum-ho-inf-energy", "trajectory-gqw-inf-drop"])
+    ("fidelity", "--x0", "1e153", "--t-steps", "3"),
+    ("entropy", "--system", "free", "--hbar", "1e-150", "--b0", "0.5"),
+], ids=["spectrum-ho-inf-energy", "trajectory-gqw-inf-drop", "fidelity-paper-exp-overflow",
+        "entropy-free-ridge-exp-overflow"])
 def test_non_finite_cell_is_numeric_error(capsys, argv, fmt):
+    # warnings are errors here: an exp that overflows to inf must not warn first
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
     assert code == 3
-    assert "E_NUMERIC" in err
+    assert err.startswith("error: E_NUMERIC:") and err.count("\n") == 1
     assert out == ""
 
 

@@ -7,18 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wigsim.dynamics import (
-    TrajectorySolution,
-    canonical_rhs,
-    evolve,
-    evolve_free,
-    evolve_gqw_ballistic,
-    evolve_gqw_field,
-    evolve_ho,
-    flow_jacobian,
-    flow_map,
-    ode_residual,
-)
+from wigsim.dynamics import canonical_rhs, evolve, flow_jacobian, flow_map, ode_residual
 from wigsim.model import PhasePoint, SystemKind, SystemParams, hamiltonian_value
 
 from oracles import hamiltonian_rhs, rk4_evolve
@@ -34,13 +23,9 @@ def ho_params(b0=0.0, omega0=1.0):
     return SystemParams(kind=SystemKind.HO_FIELD, b0=b0, omega0=omega0)
 
 
-def sol(params, initial=C0):
-    return TrajectorySolution(params=params, initial=initial)
-
-
 def test_free_half_period_point():
     # b0 = 1 means omega = 1/2; at t = pi the flow lands on (2, -2, -1/2, 1/2)
-    pt = evolve_free(sol(free_params()), math.pi)
+    pt = evolve(free_params(), C0, math.pi)
     assert pt.x == pytest.approx(2.0, rel=1e-12)
     assert pt.y == pytest.approx(-2.0, rel=1e-12)
     assert pt.px == pytest.approx(-0.5, rel=1e-12)
@@ -49,14 +34,14 @@ def test_free_half_period_point():
 
 def test_free_flow_period_is_pi_over_omega():
     p = free_params()
-    pt = evolve_free(sol(p), math.pi / p.omega)
+    pt = evolve(p, C0, math.pi / p.omega)
     for got, want in zip(pt, C0):
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_ho_quarter_period_without_field():
     # pure trap with m big_omega = 1: positions and momenta swap with a sign
-    pt = evolve_ho(sol(ho_params()), math.pi / 2)
+    pt = evolve(ho_params(), C0, math.pi / 2)
     assert pt.x == pytest.approx(1.0, rel=1e-12)
     assert pt.y == pytest.approx(1.0, rel=1e-12)
     assert pt.px == pytest.approx(-1.0, rel=1e-12)
@@ -65,14 +50,14 @@ def test_ho_quarter_period_without_field():
 
 def test_ho_full_period():
     p = ho_params(b0=0.0, omega0=0.7)
-    pt = evolve_ho(sol(p), 2 * math.pi / p.big_omega)
+    pt = evolve(p, C0, 2 * math.pi / p.big_omega)
     for got, want in zip(pt, C0):
         assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_ballistic_drop():
     p = SystemParams(kind=SystemKind.GQW_BALLISTIC, g=2.0)
-    pt = evolve_gqw_ballistic(sol(p), 1.0)
+    pt = evolve(p, C0, 1.0)
     assert pt.x == pytest.approx(2.0, rel=1e-15)
     assert pt.y == pytest.approx(1.0, rel=1e-15)
     assert pt.px == pytest.approx(1.0, rel=1e-15)
@@ -89,7 +74,7 @@ def test_flow_matches_numeric_integration(params):
     u0 = np.array([1.0, 0.5, -0.3, 0.7])
     t = 1.7
     want = rk4_evolve(params, u0, t)
-    got = evolve(sol(params, PhasePoint(*u0)), t).as_array()
+    got = evolve(params, PhasePoint(*u0), t).as_array()
     assert np.allclose(got, want, rtol=0, atol=5e-8)
 
 
@@ -97,8 +82,8 @@ def test_gravity_off_reduces_to_free():
     withfield = SystemParams(kind=SystemKind.GQW_FIELD, b0=0.6, g=0.0)
     plain = free_params(b0=0.6)
     for t in (0.0, 0.4, 2.9):
-        a = evolve_gqw_field(sol(withfield), t)
-        b = evolve_free(sol(plain), t)
+        a = evolve(withfield, C0, t)
+        b = evolve(plain, C0, t)
         for u, v in zip(a, b):
             assert u == pytest.approx(v, rel=1e-14, abs=1e-14)
 
@@ -106,8 +91,8 @@ def test_gravity_off_reduces_to_free():
 def test_trap_off_approaches_free():
     soft = ho_params(b0=1.0, omega0=1e-8)
     plain = free_params(b0=1.0)
-    a = evolve_ho(sol(soft), 2.3)
-    b = evolve_free(sol(plain), 2.3)
+    a = evolve(soft, C0, 2.3)
+    b = evolve(plain, C0, 2.3)
     for u, v in zip(a, b):
         assert u == pytest.approx(v, abs=1e-8)
 
@@ -119,9 +104,9 @@ def test_trap_off_approaches_free():
 ])
 def test_flow_composition(params):
     t1, t2 = 0.7, 1.9
-    mid = evolve(sol(params), t1)
-    two_step = evolve(sol(params, mid), t2)
-    one_step = evolve(sol(params), t1 + t2)
+    mid = evolve(params, C0, t1)
+    two_step = evolve(params, mid, t2)
+    one_step = evolve(params, C0, t1 + t2)
     for u, v in zip(two_step, one_step):
         assert u == pytest.approx(v, rel=1e-11, abs=1e-11)
 
@@ -135,7 +120,7 @@ def test_flow_composition(params):
 def test_energy_conserved_along_flow(params):
     e0 = hamiltonian_value(params, C0)
     for t in np.linspace(0.0, 9.0, 19):
-        e = hamiltonian_value(params, evolve(sol(params), float(t)))
+        e = hamiltonian_value(params, evolve(params, C0, float(t)))
         assert e == pytest.approx(e0, rel=1e-11)
 
 
@@ -147,7 +132,7 @@ def test_energy_conserved_along_flow(params):
 ])
 def test_flow_satisfies_equations_of_motion(params):
     for t in (0.3, 1.1, 4.0):
-        assert ode_residual(sol(params), t) <= 1e-6
+        assert ode_residual(params, C0, t) <= 1e-6
 
 
 def test_canonical_rhs_matches_hamiltonian_gradients():
@@ -163,7 +148,7 @@ def test_canonical_rhs_matches_hamiltonian_gradients():
     SystemParams(kind=SystemKind.GQW_FIELD, b0=0.8, g=2.0),
 ])
 def test_flow_jacobian_is_symplectic(params):
-    jac = flow_jacobian(sol(params), 1.3)
+    jac = flow_jacobian(params, C0, 1.3)
     eye = np.eye(2)
     zero = np.zeros((2, 2))
     form = np.block([[zero, eye], [-eye, zero]])
@@ -174,36 +159,25 @@ def test_flow_jacobian_is_symplectic(params):
 def test_dispatch_fallbacks():
     # no field: the free system coasts in a straight line
     coast = SystemParams(kind=SystemKind.FREE_FIELD, b0=0.0)
-    pt = evolve(sol(coast), 2.0)
+    pt = evolve(coast, C0, 2.0)
     assert pt.x == pytest.approx(3.0, rel=1e-14)
     assert pt.py == pytest.approx(1.0, rel=1e-14)
 
     # gqw with the field switched off falls back to the ballistic flow
     nofield = SystemParams(kind=SystemKind.GQW_FIELD, b0=0.0, g=2.0)
     drop = SystemParams(kind=SystemKind.GQW_BALLISTIC, g=2.0)
-    a = evolve(sol(nofield), 1.5)
-    b = evolve(sol(drop), 1.5)
+    a = evolve(nofield, C0, 1.5)
+    b = evolve(drop, C0, 1.5)
     for u, v in zip(a, b):
         assert u == pytest.approx(v, rel=1e-14)
-
-
-def test_specialized_flows_reject_wrong_params():
-    with pytest.raises(ValueError):
-        evolve_free(sol(free_params(b0=0.0)), 1.0)
-    with pytest.raises(ValueError):
-        evolve_free(sol(ho_params(b0=1.0, omega0=1.0)), 1.0)
-    with pytest.raises(ValueError):
-        evolve_gqw_field(sol(SystemParams(kind=SystemKind.GQW_FIELD, b0=0.0, g=2.0)), 1.0)
-    with pytest.raises(ValueError):
-        evolve_gqw_ballistic(sol(free_params(b0=1.0)), 1.0)
 
 
 def test_array_times():
     params = free_params()
     ts = np.linspace(0.0, 2 * math.pi, 9)
-    pt = evolve(sol(params), ts)
+    pt = evolve(params, C0, ts)
     assert pt.x.shape == ts.shape
-    single = evolve(sol(params), float(ts[3]))
+    single = evolve(params, C0, float(ts[3]))
     assert pt.x[3] == pytest.approx(single.x, rel=1e-14)
     assert pt.py[3] == pytest.approx(single.py, rel=1e-14)
 
@@ -235,7 +209,7 @@ def test_flow_map_is_symplectic(params):
 def test_flow_map_matches_finite_difference_jacobian(params):
     m, _ = flow_map(params, FLOW_TIMES)
     for i in range(0, 41, 8):
-        jac = flow_jacobian(sol(params), float(FLOW_TIMES[i]), h=1e-3)
+        jac = flow_jacobian(params, C0, float(FLOW_TIMES[i]), h=1e-3)
         assert np.max(np.abs(jac - m[i])) <= 1e-9
 
 
@@ -259,7 +233,7 @@ def test_flow_map_array_matches_scalar_calls(params):
 ], ids=["scalar-inf", "array-nan"])
 def test_non_finite_initial_point_rejected(initial):
     with pytest.raises(ValueError, match="finite"):
-        evolve(sol(ho_params(b0=0.5), initial), np.linspace(0.0, 1.0, 3))
+        evolve(ho_params(b0=0.5), initial, np.linspace(0.0, 1.0, 3))
 
 
 @pytest.mark.parametrize("t", [math.inf, np.array([0.0, math.nan, 1.0])],
@@ -267,7 +241,7 @@ def test_non_finite_initial_point_rejected(initial):
 @pytest.mark.parametrize("params", FLOW_CASES, ids=FLOW_IDS)
 def test_non_finite_time_rejected(params, t):
     with pytest.raises(ValueError, match="finite"):
-        evolve(sol(params, PhasePoint(1.0, 1.0, 1.0, 1.0)), t)
+        evolve(params, PhasePoint(1.0, 1.0, 1.0, 1.0), t)
 
 
 @st.composite
@@ -314,7 +288,7 @@ _POINTS = st.tuples(*[st.floats(-5.0, 5.0)] * 4).map(lambda z: PhasePoint(*z))
 def test_energy_is_conserved(params, z0, t):
     # every term of H is at most (lam^2 + kap^2 + omega + m g) max(1, |z|^2),
     # so rounding in the flow and in H is measured against that size
-    zt = evolve(sol(params, z0), t)
+    zt = evolve(params, z0, t)
     h0, ht = hamiltonian_value(params, z0), hamiltonian_value(params, zt)
     coeff = params.lam ** 2 + params.kappa ** 2 + params.omega + params.mass * params.g
     size = max(1.0, abs(h0), float(np.sum(z0.as_array() ** 2)), float(np.sum(zt.as_array() ** 2)))

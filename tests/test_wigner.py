@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wigsim.dynamics import TrajectorySolution, evolve, evolve_free, evolve_gqw_ballistic
+from wigsim.dynamics import evolve
 from wigsim.model import PhasePoint, SystemKind, SystemParams
 from wigsim.quadrature import box_scheme, hermite_scheme, integrate
 from wigsim.specfun import airy_ai
@@ -117,7 +117,7 @@ class TestStationaryHO:
         pts = random_points(32, rng)
         base = state.value(*pts)
         for t in (0.37, 1.9, 5.1):
-            moved = evolve(TrajectorySolution(p, pts), t)
+            moved = evolve(p, pts, t)
             assert np.allclose(state.value(*moved), base, rtol=1e-10, atol=1e-13)
 
     def test_sector_factorization_ground_only(self):
@@ -166,7 +166,7 @@ class TestLandau:
         pts = random_points(32, rng)
         base = state.value(*pts)
         for t in (0.5, 2.2):
-            moved = evolve_free(TrajectorySolution(p, pts), t)
+            moved = evolve(p, pts, t)
             assert np.allclose(state.value(*moved), base, rtol=1e-10, atol=1e-13)
 
     def test_energy_ladder(self):
@@ -288,8 +288,7 @@ class TestGQW:
             y0 = rng.uniform(0.0, state.y_max)
             py0 = rng.uniform(-state.p_cut, state.p_cut)
             t = rng.uniform(-0.3, 0.3)
-            pt = evolve_gqw_ballistic(
-                TrajectorySolution(p, PhasePoint(0.0, y0, 0.0, py0)), t)
+            pt = evolve(p, PhasePoint(0.0, y0, 0.0, py0), t)
             if not 0.0 <= pt.y <= state.y_max:
                 continue
             kept += 1
