@@ -325,16 +325,13 @@ def _run_entropy(ns):
     convention = (measures.EntropyConvention.RAW_BOX if ns.entropy_convention == "raw"
                   else measures.EntropyConvention.NORMALIZED_BOX)
     systems = ["ho", "free"] if ns.system == "both" else [ns.system]
-    pairs = []
-    for name in systems:
-        pairs += measures.entropy_vs_field(
-            _KINDS[name], b0_list, mass=ns.mass, hbar=ns.hbar, charge=ns.charge, omega0=omega0,
-            box_half_width=ns.box_half_width, nodes_per_axis=ns.quad_order,
-            convention=convention,
-        )
-    b0s, values = zip(*pairs)
-    table = {"system": np.repeat(systems, len(b0_list)), "b0": b0s, "entropy": values,
-             "convention": [ns.entropy_convention] * len(pairs)}
+    params = [SystemParams(kind=_KINDS[name], mass=ns.mass, hbar=ns.hbar, charge=ns.charge,
+                           b0=b0, omega0=omega0 if name == "ho" else 0.0)
+              for name in systems for b0 in b0_list]
+    values = measures.entropy_vs_field(params, box_half_width=ns.box_half_width,
+                                       nodes_per_axis=ns.quad_order, convention=convention)
+    table = {"system": np.repeat(systems, len(b0_list)), "b0": b0_list * len(systems),
+             "entropy": values, "convention": [ns.entropy_convention] * len(params)}
     cfg = _config("entropy", ns, ("system", "b0", *_PHYSICS_KEYS, "quad_order",
                                   "box_half_width", "entropy_convention", "epsilon_convention"),
                   b0=b0_list, omega0=omega0)

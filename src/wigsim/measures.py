@@ -19,12 +19,11 @@ from . import quadrature
 from .dynamics import _quadratic_map, _transport, evolve
 from .model import PhasePoint, SystemKind, SystemParams
 from .specfun import _unwrap_scalar
-from .wigner import GaussianWigner, LandauState, StationaryHOState
+from .wigner import Gaussian2D, LandauState, StationaryHOState
 
 __all__ = [
     "WignerNegativityError",
     "fidelity_gaussian_closed",
-    "default_fidelity_scheme",
     "fidelity_quadrature",
     "fidelity_ho_paper",
     "paper_form_point",
@@ -48,21 +47,9 @@ def fidelity_gaussian_closed(c0: PhasePoint, ct: PhasePoint):
 
     Accepts array-valued components in ct (or c0) and broadcasts.
     """
-    d = ct.as_array() - c0.as_array()
-    return _unwrap_scalar(np.exp(-0.5 * np.sum(d * d, axis=-1)))
-
-
-def default_fidelity_scheme(w1, w2, order: int = 32) -> quadrature.QuadratureScheme:
-    """Gauss-Hermite scheme centered between the two states, one axis per
-    center coordinate (a state without a center sits at the origin).
-
-    With unit scales the sqrt-overlap integrand of two unit Gaussians is a
-    polynomial times the scheme's own weight, so the rule is exact for them.
-    """
-    dims = len(getattr(w1, "center", getattr(w2, "center", (0.0,) * 4)))
-    c1, c2 = (np.asarray(getattr(w, "center", (0.0,) * dims), dtype=float) for w in (w1, w2))
-    mid = 0.5 * (c1 + c2)
-    return quadrature.hermite_scheme((order,) * dims, centers=tuple(mid), scales=(1.0,) * dims)
+    with np.errstate(over="ignore"):   # packets ~1e154 apart: F rounds to 0 either way
+        d = ct.as_array() - c0.as_array()
+        return _unwrap_scalar(np.exp(-0.5 * np.sum(d * d, axis=-1)))
 
 
 def _checked_nonnegative(state, coords, label: str) -> np.ndarray:
@@ -158,11 +145,13 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     if not np.all(np.abs(c0.as_array()) < 2.0 ** 510):
         raise ValueError("initial point out of range: |c0|^2 overflows")
     closed = fidelity_gaussian_closed(c0, ct)
-    sectors0 = GaussianWigner(c0).sectors()
+    z0 = c0.as_array()
     quad = np.ones_like(times)
-    for i, center in enumerate(ct.as_array()):
-        for (s0, _), (st, _) in zip(sectors0, GaussianWigner(PhasePoint(*center)).sectors()):
-            quad[i] *= fidelity_quadrature(s0, st, default_fidelity_scheme(s0, st, order))
+    for i, zt in enumerate(ct.as_array()):
+        for axes in ([0, 2], [1, 3]):     # the (x, px) and (y, py) sectors
+            # unit scales at the midpoint: the rule is exact for two unit Gaussians
+            scheme = quadrature.hermite_scheme((order, order), centers=0.5 * (z0[axes] + zt[axes]))
+            quad[i] *= fidelity_quadrature(Gaussian2D(z0[axes]), Gaussian2D(zt[axes]), scheme)
     # both states are unit Gaussians the rule integrates exactly: any excess over 1 is rounding
     quad = np.minimum(quad, 1.0)
     paper = fidelity_ho_paper(params.omega, times, c0) if is_ho_unit else None
@@ -208,49 +197,29 @@ def shannon_entropy(state, scheme: quadrature.QuadratureScheme,
     return quadrature.integrate(integrand, scheme.dims, scheme)
 
 
-def _check_sector_precision(params: SystemParams) -> None:
-    """The ground-state sectors are Gaussians with precisions r/hbar and
-    1/(r hbar), r = lam/kappa, which must be positive and finite; so must
-    their product 1/hbar^2, which the raw entropy's mass-times-entropy terms reach."""
-    ratio = params.lam / params.kappa
-    hbar = params.hbar
-    if not (ratio > 0 and all(0.0 < s < math.inf for s in (ratio / hbar, 1.0 / ratio / hbar))
-            and 1.0 / hbar / hbar < math.inf):
-        raise ValueError("sector precisions lam/(kappa hbar), kappa/(lam hbar) and 1/hbar^2 "
-                         "are out of range")
-
-
-def entropy_vs_field(kind: SystemKind, b0_values, *, mass: float = 1.0, hbar: float = 1.0,
-                     charge: float = 1.0, omega0: float = 1.0, box_half_width: float = 8.0,
-                     nodes_per_axis: int = 101,
-                     convention: EntropyConvention = EntropyConvention.RAW_BOX):
-    """Ground-state entropy as a function of the field strength.
+def entropy_vs_field(params_list, *, box_half_width: float = 8.0, nodes_per_axis: int = 101,
+                     convention: EntropyConvention = EntropyConvention.RAW_BOX) -> list:
+    """Ground-state entropy of each trapped or free system in params_list.
 
     The ground state is a product W_a W_b over two phase-space planes: the
     trap's (x, px) x (y, py), the Landau level's (x, py) x (y, px).  So on a
     product box the 4D entropy is M_b S_a + M_a S_b, with M the box mass of
     |W| of each sector (in the normalized convention both masses are 1).
-    Returns a list of (b0, entropy) pairs.
+    Returns one entropy per params, in order.
     """
-    L = float(box_half_width)
-    rows = []
-    for b0 in b0_values:
-        b0 = float(b0)
-        if kind is SystemKind.HO_FIELD:
-            params = SystemParams(kind=kind, mass=mass, hbar=hbar, charge=charge,
-                                  b0=b0, omega0=omega0)
+    values = []
+    for params in params_list:
+        if params.kind is SystemKind.HO_FIELD:
             state = StationaryHOState(0, 0, params)
-        elif kind is SystemKind.FREE_FIELD:
-            params = SystemParams(kind=kind, mass=mass, hbar=hbar, charge=charge, b0=b0)
+        elif params.kind is SystemKind.FREE_FIELD:
             state = LandauState(0, params)
         else:
             raise ValueError("entropy sweep is defined for the trapped and free systems")
-        _check_sector_precision(params)
-        box = quadrature.box_scheme((nodes_per_axis,) * 2, [(-L, L)] * 2)
         (wa, _), (wb, _) = state.sectors()
+        box = quadrature.box_scheme((nodes_per_axis,) * 2, [(-box_half_width, box_half_width)] * 2)
         sa = shannon_entropy(wa, box, convention)
         sb = shannon_entropy(wb, box, convention)
         ma, mb = ((_box_mass(wa, box), _box_mass(wb, box))
                   if convention is EntropyConvention.RAW_BOX else (1.0, 1.0))
-        rows.append((b0, mb * sa + ma * sb))
-    return rows
+        values.append(mb * sa + ma * sb)
+    return values

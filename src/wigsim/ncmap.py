@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .model import PhasePoint, SystemParams
 
@@ -43,6 +44,15 @@ class NCParams:
             raise ValueError("mu and nu must be positive")
 
 
+def _ratio(numerator: Fraction, *factors: float) -> float:
+    """numerator / prod(factors) of exact rationals, rounded once to a float,
+    so no product of the floats under- or overflows on the way."""
+    try:
+        return float(numerator / math.prod(map(Fraction, factors)))
+    except OverflowError:
+        raise ValueError("noncommutative map value overflows a float") from None
+
+
 def effective_b0_ho(nc: NCParams, params: SystemParams) -> float:
     """Effective field of the deformed trapped system:
     B_eff = m^2 omega0^2 theta / (q hbar) + eta / (q hbar)."""
@@ -50,8 +60,8 @@ def effective_b0_ho(nc: NCParams, params: SystemParams) -> float:
         raise ValueError("effective field requires a nonzero charge")
     if not params.omega0 > 0:
         raise ValueError("trapped-system map requires omega0 > 0")
-    q, hbar = params.charge, params.hbar
-    return params.mass ** 2 * params.omega0 ** 2 * nc.theta / (q * hbar) + nc.eta / (q * hbar)
+    trap = Fraction(params.mass) * Fraction(params.omega0)
+    return _ratio(trap * trap * Fraction(nc.theta) + Fraction(nc.eta), params.charge, params.hbar)
 
 
 def effective_b0_free(nc: NCParams, params: SystemParams) -> float:
@@ -59,7 +69,7 @@ def effective_b0_free(nc: NCParams, params: SystemParams) -> float:
     B_eff = eta / (q hbar); theta drops out of the field strength."""
     if params.charge == 0:
         raise ValueError("effective field requires a nonzero charge")
-    return nc.eta / (params.charge * params.hbar)
+    return _ratio(Fraction(nc.eta), params.charge, params.hbar)
 
 
 @dataclass(frozen=True)
@@ -82,9 +92,8 @@ def gqw_nc_map(nc: NCParams, params: SystemParams) -> tuple[float, CoordinateShi
     """Map of the deformed gravitational system: effective field
     eta/(q hbar) plus the x reshaping x -> nu x - theta/(2 nu hbar) py."""
     b_eff = effective_b0_free(nc, params)
-    shift = CoordinateShift(scale_x=nc.nu,
-                            shear_x_from_py=-nc.theta / (2.0 * nc.nu * params.hbar))
-    return b_eff, shift
+    shear = -_ratio(Fraction(nc.theta), 2.0, nc.nu, params.hbar)
+    return b_eff, CoordinateShift(scale_x=nc.nu, shear_x_from_py=shear)
 
 
 def auxiliary_s(mu: float, nu: float) -> float:
@@ -98,9 +107,9 @@ def auxiliary_s(mu: float, nu: float) -> float:
 def sigma_invertible(nc: NCParams, hbar: float) -> bool:
     """Whether the deformation matrix is invertible: theta * eta != hbar^2.
 
-    Exact comparison; callers worried about near-singular parameter choices
-    should test the margin themselves.
+    Exact comparison of the rationals, where no product underflows; callers
+    worried about near-singular parameter choices should test the margin.
     """
     if not hbar > 0:
         raise ValueError("hbar must be positive")
-    return nc.theta * nc.eta != hbar * hbar
+    return Fraction(nc.theta) * Fraction(nc.eta) != Fraction(hbar) ** 2

@@ -42,46 +42,34 @@ class SchemeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Tensor-product rule description.
+    """Tensor-product rule description: one (a, b) pair per axis.
 
-    Hermite schemes need per-axis centers and scales (node x -> c + s x,
-    weights absorb the Gaussian factor, so plain integrals are computed).
-    Box schemes need per-axis (lo, hi) bounds and use midpoint nodes.
+    Hermite pairs are (center, scale): node x -> c + s x, and the weights
+    absorb the Gaussian factor, so plain integrals are computed.  Box pairs
+    are (lo, hi) bounds, with midpoint nodes.
     """
 
     kind: SchemeKind
     orders: tuple
-    centers: tuple | None = None
-    scales: tuple | None = None
-    bounds: tuple | None = None
+    pairs: tuple
 
     def __post_init__(self):
         if len(self.orders) == 0:
             raise ValueError("scheme needs at least one axis")
         if any(int(n) != n or n < 1 for n in self.orders):
             raise ValueError("orders must be positive integers")
+        if len(self.pairs) != len(self.orders):
+            raise ValueError("scheme needs one (a, b) pair per axis")
         if self.kind is SchemeKind.TENSOR_HERMITE:
             if any(n > _MAX_HERMITE_ORDER for n in self.orders):
                 raise ValueError(f"hermite orders above {_MAX_HERMITE_ORDER} are not supported")
-            if self.bounds is not None:
-                raise ValueError("hermite scheme takes centers/scales, not bounds")
-            if self.centers is None or self.scales is None:
-                raise ValueError("hermite scheme requires centers and scales")
-            if len(self.centers) != len(self.orders) or len(self.scales) != len(self.orders):
-                raise ValueError("centers/scales length must match orders")
-            if any(not (s > 0 and math.isfinite(s)) for s in self.scales):
+            if any(not (s > 0 and math.isfinite(s)) for _, s in self.pairs):
                 raise ValueError("scales must be positive and finite")
-            if not all(math.isfinite(c) for c in self.centers):
+            if not all(math.isfinite(c) for c, _ in self.pairs):
                 raise ValueError("centers must be finite")
-        else:
-            if self.centers is not None or self.scales is not None:
-                raise ValueError("box scheme takes bounds, not centers/scales")
-            if self.bounds is None or len(self.bounds) != len(self.orders):
-                raise ValueError("box scheme requires one (lo, hi) pair per axis")
-            # a finite width hi - lo also rules out infinite bounds
-            if any(not (lo < hi and math.isfinite(float(hi) - float(lo)))
-                   for lo, hi in self.bounds):
-                raise ValueError("box bounds require lo < hi with a finite width hi - lo")
+        # a finite width hi - lo also rules out infinite bounds
+        elif any(not (lo < hi and math.isfinite(hi - lo)) for lo, hi in self.pairs):
+            raise ValueError("box bounds require lo < hi with a finite width hi - lo")
 
     @property
     def dims(self) -> int:
@@ -92,43 +80,34 @@ def hermite_scheme(orders: Sequence[int], centers: Sequence[float] | None = None
                    scales: Sequence[float] | None = None) -> QuadratureScheme:
     """Gauss-Hermite tensor scheme; centers default to 0, scales to 1."""
     orders = tuple(int(n) for n in orders)
-    if centers is None:
-        centers = (0.0,) * len(orders)
-    if scales is None:
-        scales = (1.0,) * len(orders)
-    return QuadratureScheme(
-        kind=SchemeKind.TENSOR_HERMITE,
-        orders=orders,
-        centers=tuple(float(c) for c in centers),
-        scales=tuple(float(s) for s in scales),
-    )
+    centers = (0.0,) * len(orders) if centers is None else centers
+    scales = (1.0,) * len(orders) if scales is None else scales
+    if len(centers) != len(orders) or len(scales) != len(orders):
+        raise ValueError("centers/scales length must match orders")
+    return QuadratureScheme(SchemeKind.TENSOR_HERMITE, orders,
+                            tuple((float(c), float(s)) for c, s in zip(centers, scales)))
 
 
 def box_scheme(orders: Sequence[int], bounds: Sequence[tuple]) -> QuadratureScheme:
     """Uniform midpoint rule on a product of intervals."""
-    return QuadratureScheme(
-        kind=SchemeKind.UNIFORM_BOX,
-        orders=tuple(int(n) for n in orders),
-        bounds=tuple((float(lo), float(hi)) for lo, hi in bounds),
-    )
+    return QuadratureScheme(SchemeKind.UNIFORM_BOX, tuple(int(n) for n in orders),
+                            tuple((float(lo), float(hi)) for lo, hi in bounds))
 
 
 def _axes(scheme: QuadratureScheme):
     """Per-axis (nodes, weights); Hermite weights absorb e^{+x^2}."""
     axes = []
-    if scheme.kind is SchemeKind.TENSOR_HERMITE:
-        for n, c, s in zip(scheme.orders, scheme.centers, scheme.scales):
+    for n, (a, b) in zip(scheme.orders, scheme.pairs):
+        if scheme.kind is SchemeKind.TENSOR_HERMITE:
             rule = gauss_hermite(n)
-            nodes = c + s * rule.nodes
+            nodes = a + b * rule.nodes
             # exp(log w + x^2) avoids 0 * inf at large orders
-            weights = s * np.exp(np.log(rule.weights) + rule.nodes ** 2)
-            axes.append((nodes, weights))
-    else:
-        for n, (lo, hi) in zip(scheme.orders, scheme.bounds):
-            h = (hi - lo) / n
-            nodes = lo + h * (np.arange(n) + 0.5)
+            weights = b * np.exp(np.log(rule.weights) + rule.nodes ** 2)
+        else:
+            h = (b - a) / n
+            nodes = a + h * (np.arange(n) + 0.5)
             weights = np.full(n, h)
-            axes.append((nodes, weights))
+        axes.append((nodes, weights))
     return axes
 
 

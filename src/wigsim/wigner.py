@@ -40,12 +40,19 @@ class HOSector:
     """Gaussian factor over one plane (a, b), (da, db) taken from the center:
     norm / (pi hbar) * exp[-(ratio da^2 + cross da db + db^2 / ratio) / hbar].
     Trap ground-state sectors have ratio = lam/kappa = m big_omega, cross = 0;
-    a Landau ridge has cross = -+2 and is flat along one direction."""
+    a Landau ridge has cross = -+2 and is flat along one direction.
+    The precisions ratio/hbar and 1/(ratio hbar) must be positive and finite,
+    and their product 1/hbar^2, which a raw box entropy reaches, finite."""
 
     def __init__(self, ratio: float, hbar: float, center=(0.0, 0.0), cross: float = 0.0,
                  norm: float = 1.0):
         self.ratio = float(ratio)
         self.hbar = float(hbar)
+        r, h = self.ratio, self.hbar
+        if not (r > 0 and 0.0 < r / h < math.inf and 0.0 < 1.0 / r / h < math.inf
+                and 1.0 / h / h < math.inf):
+            raise ValueError("sector precisions lam/(kappa hbar), kappa/(lam hbar) and "
+                             "1/hbar^2 are out of range")
         self.center = (float(center[0]), float(center[1]))
         self.cross = float(cross)
         self.norm = float(norm)
@@ -53,8 +60,8 @@ class HOSector:
     def value(self, a, b):
         da = np.asarray(a, dtype=float) - self.center[0]
         db = np.asarray(b, dtype=float) - self.center[1]
-        arg = (self.ratio * da * da + self.cross * da * db + db * db / self.ratio) / self.hbar
         with np.errstate(over="ignore"):   # callers check the cells are finite
+            arg = (self.ratio * da * da + self.cross * da * db + db * db / self.ratio) / self.hbar
             out = self.norm * np.exp(-arg) / (math.pi * self.hbar)
         return _unwrap_scalar(out)
 
@@ -132,7 +139,6 @@ class StationaryHOState(ProductState):
         self.n1 = int(n1)
         self.n2 = int(n2)
         self.params = params
-        self.center = PhasePoint(0.0, 0.0, 0.0, 0.0)
 
     def value(self, x, y, px, py):
         hbar = self.params.hbar
@@ -180,7 +186,6 @@ class LandauState(ProductState):
             raise ValueError("Landau levels require omega > 0")
         self.n = int(n)
         self.params = params
-        self.center = PhasePoint(0.0, 0.0, 0.0, 0.0)
 
     def value(self, x, y, px, py):
         hbar = self.params.hbar

@@ -236,9 +236,10 @@ def test_criterion_09_entropy_shape():
     gaussian_value = abs(snorm - target) <= 1e-3
 
     b0s = [0.1, 0.25, 0.5, 1.0]
-    ho_vals = [s for _, s in entropy_vs_field(SystemKind.HO_FIELD, [0.0] + b0s,
-                                              nodes_per_axis=81)]
-    fr_vals = [s for _, s in entropy_vs_field(SystemKind.FREE_FIELD, b0s, nodes_per_axis=41)]
+    ho_vals = entropy_vs_field([SystemParams(kind=SystemKind.HO_FIELD, b0=b0, omega0=1.0)
+                                for b0 in [0.0] + b0s], nodes_per_axis=81)
+    fr_vals = entropy_vs_field([SystemParams(kind=SystemKind.FREE_FIELD, b0=b0) for b0 in b0s],
+                               nodes_per_axis=41)
     monotone = (all(b >= a - 1e-9 for a, b in zip(ho_vals, ho_vals[1:]))
                 and all(b > a for a, b in zip(fr_vals, fr_vals[1:])))
     # the free curve is proportional to the field over the sweep, so it heads to

@@ -346,6 +346,22 @@ def test_non_finite_input_is_range_error(capsys, argv):
     assert out == ""
 
 
+# m^2 that overflows, or q hbar, 2 nu hbar, hbar^2 or theta eta that underflow
+_NCMAP_CRASHES = [
+    ("ncmap", "--system", "ho", "--mass", "1e200"),
+    ("ncmap", "--system", "gqw", "--nu", "1e-107", "--hbar", "1e-241"),
+    ("ncmap", "--system", "ho", "--charge", "1e-300", "--hbar", "1e-100"),
+    ("ncmap", "--system", "free", "--charge", "1e-300", "--hbar", "1e-100"),
+]
+_NCMAP_SIGMAS = [
+    ("ncmap", "--system", "free", "--hbar", "1e-170"),
+    ("ncmap", "--system", "ho", "--theta", "1e-200", "--eta", "2e-200", "--hbar", "1e-200"),
+]
+_NCMAP_EXTREMES = _NCMAP_CRASHES + _NCMAP_SIGMAS
+_NCMAP_EXTREME_IDS = ["ncmap-ho-heavy", "ncmap-gqw-tiny-nu-hbar", "ncmap-ho-tiny-q-hbar",
+                      "ncmap-free-tiny-q-hbar", "ncmap-free-tiny-hbar", "ncmap-ho-tiny-theta-eta"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     # |c0|^2 overflows in the fidelity forms
@@ -356,8 +372,16 @@ def test_non_finite_input_is_range_error(capsys, argv):
     ("entropy", "--mass", "1e300", "--b0", "0.5"),
     ("entropy", "--system", "free", "--b0", "1e-300"),
     ("entropy", "--hbar", "1e-300", "--b0", "0.5"),
+    # displacements whose square overflows: the packets are ~1e154 or more apart
+    ("fidelity", "--system", "free", "--t-end", "4.5e180", "--t-steps", "3", "--quad-order", "4"),
+    ("fidelity", "--system", "gqw-b", "--gravity", "1.7e308", "--t-end", "0.5",
+     "--t-steps", "3", "--quad-order", "4"),
+    ("fidelity", "--system", "ho", "--x0", "2", "--mass", "3.6e205", "--t-steps", "3",
+     "--quad-order", "4"),
+    *_NCMAP_EXTREMES,
 ], ids=["fidelity-x0-1e200", "fidelity-mass-1e-300", "entropy-mass-1e300",
-        "entropy-free-b0-1e-300", "entropy-hbar-1e-300"])
+        "entropy-free-b0-1e-300", "entropy-hbar-1e-300", "fidelity-free-far",
+        "fidelity-gqw-b-far", "fidelity-ho-heavy", *_NCMAP_EXTREME_IDS])
 def test_extreme_parameters_leave_at_most_one_error_line(capsys, argv):
     # warnings are errors here, so a numpy RuntimeWarning fails the case
     code, out, err = run_cli(capsys, *argv)
@@ -367,6 +391,26 @@ def test_extreme_parameters_leave_at_most_one_error_line(capsys, argv):
     else:
         assert err.startswith("error: E_") and err.count("\n") == 1
         assert out == ""
+
+
+@pytest.mark.parametrize("argv", _NCMAP_CRASHES, ids=_NCMAP_EXTREME_IDS[:4])
+def test_ncmap_zero_deformation_has_zero_field(capsys, argv):
+    # theta = eta = 0: the effective field is 0 however small q hbar or large m is
+    code, out, err = run_cli(capsys, *argv)
+    if code == 0:
+        _, _, rows = parse_csv(out)
+        assert rows[0]["b0_effective"] == "0"
+    else:
+        assert err.startswith("error: E_") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", _NCMAP_SIGMAS, ids=_NCMAP_EXTREME_IDS[4:])
+def test_sigma_invertible_when_a_product_underflows(capsys, argv):
+    # theta eta != hbar^2 exactly, though hbar^2 or theta eta rounds to 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    _, _, rows = parse_csv(out)
+    assert rows[0]["sigma_invertible"] == "true"
 
 
 @pytest.mark.parametrize("argv", [
@@ -473,8 +517,9 @@ def test_entropy_trap_header_omega0(capsys):
         assert code == 0, err
         meta, _, rows = parse_csv(out)
         assert meta["omega0"] == omega0
-        [(_, want)] = entropy_vs_field(SystemKind.HO_FIELD, [0.5], omega0=float(omega0),
-                                       box_half_width=1.0, nodes_per_axis=11)
+        [want] = entropy_vs_field(
+            [SystemParams(kind=SystemKind.HO_FIELD, b0=0.5, omega0=float(omega0))],
+            box_half_width=1.0, nodes_per_axis=11)
         assert rows[0]["system"] == "ho"
         assert rows[0]["entropy"] == f"{want:.12g}"
 

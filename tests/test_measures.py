@@ -11,7 +11,6 @@ from wigsim.dynamics import evolve
 from wigsim.measures import (
     EntropyConvention,
     WignerNegativityError,
-    default_fidelity_scheme,
     entropy_vs_field,
     fidelity_curve,
     fidelity_gaussian_closed,
@@ -21,7 +20,7 @@ from wigsim.measures import (
     shannon_entropy,
 )
 from wigsim.model import PhasePoint, SystemKind, SystemParams
-from wigsim.quadrature import box_scheme, integrate
+from wigsim.quadrature import box_scheme, hermite_scheme, integrate
 from wigsim.wigner import Gaussian2D, GaussianWigner, LandauState, StationaryHOState
 
 from test_dynamics import _PROPERTY, valid_params
@@ -35,7 +34,6 @@ class _Offset:
 
     def __init__(self, dip):
         self.base = GaussianWigner()
-        self.center = self.base.center
         self.dip = dip
 
     def value(self, x, y, px, py):
@@ -79,14 +77,15 @@ class TestFidelityQuadrature:
         w0 = GaussianWigner(ORIGIN)
         for ct in (C0, PhasePoint(2.0, -1.0, 0.5, 0.0)):
             wt = GaussianWigner(ct)
-            got = fidelity_quadrature(w0, wt, default_fidelity_scheme(w0, wt))
+            got = fidelity_quadrature(
+                w0, wt, hermite_scheme((32,) * 4, centers=0.5 * np.add(w0.center, wt.center)))
             assert got == pytest.approx(fidelity_gaussian_closed(ORIGIN, ct), rel=1e-13)
 
     def test_trap_ground_state_matches_gaussian(self):
         p = SystemParams(kind=SystemKind.HO_FIELD, omega0=1.0)
         state = StationaryHOState(0, 0, p)
         w = GaussianWigner()
-        got = fidelity_quadrature(state, w, default_fidelity_scheme(state, w))
+        got = fidelity_quadrature(state, w, hermite_scheme((32,) * 4))
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_excited_state_rejected(self):
@@ -94,20 +93,20 @@ class TestFidelityQuadrature:
         state = StationaryHOState(1, 0, p)
         w = GaussianWigner()
         with pytest.raises(WignerNegativityError) as err:
-            fidelity_quadrature(state, w, default_fidelity_scheme(state, w))
+            fidelity_quadrature(state, w, hermite_scheme((32,) * 4))
         assert "StationaryHOState" in str(err.value)
 
     def test_rounding_dips_clamped(self):
         w = GaussianWigner()
         soft = _Offset(5e-13)
-        sch = default_fidelity_scheme(w, soft)
+        sch = hermite_scheme((32,) * 4)
         val = fidelity_quadrature(w, soft, sch)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_real_negativity_raises(self):
         w = GaussianWigner()
         bad = _Offset(1e-9)
-        sch = default_fidelity_scheme(w, bad)
+        sch = hermite_scheme((32,) * 4)
         with pytest.raises(WignerNegativityError):
             fidelity_quadrature(w, bad, sch)
 
@@ -178,7 +177,8 @@ class TestFidelityCurve:
         w0 = GaussianWigner(c0)
         for i, center in enumerate(ct.as_array()):
             wt = GaussianWigner(PhasePoint(*center))
-            want = fidelity_quadrature(w0, wt, default_fidelity_scheme(w0, wt, 8))
+            want = fidelity_quadrature(
+                w0, wt, hermite_scheme((8,) * 4, centers=0.5 * np.add(w0.center, wt.center)))
             assert curve.quad[i] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("form", ["consistent", "paper"])
@@ -271,15 +271,15 @@ class TestEntropy:
 
 class TestEntropyVsField:
     def test_trap_curve_is_flat(self):
-        rows = entropy_vs_field(SystemKind.HO_FIELD, [0.0, 0.5, 1.0], nodes_per_axis=81)
-        values = [s for _, s in rows]
+        values = entropy_vs_field([SystemParams(kind=SystemKind.HO_FIELD, b0=b0, omega0=1.0)
+                                   for b0 in (0.0, 0.5, 1.0)], nodes_per_axis=81)
         want = 2.0 * (math.log(math.pi) + 1.0)
         for v in values:
             assert v == pytest.approx(want, abs=1e-6)
 
     def test_free_curve_vanishes_with_field(self):
-        rows = entropy_vs_field(SystemKind.FREE_FIELD, [0.05, 0.2, 0.5], nodes_per_axis=41)
-        values = [s for _, s in rows]
+        values = entropy_vs_field([SystemParams(kind=SystemKind.FREE_FIELD, b0=b0)
+                                   for b0 in (0.05, 0.2, 0.5)], nodes_per_axis=41)
         assert all(v > 0 for v in values)
         assert values[0] < values[1] < values[2]
         # the raw box entropy of the lowest Landau level is linear in b0
@@ -293,21 +293,23 @@ class TestEntropyVsField:
         # the sweep's sector route against the 4D oracle, for the trap ground
         # state and the lowest Landau level; boxes of half-width 1 and 2
         # truncate the state, so each sector's box mass enters the raw sum
-        rows = entropy_vs_field(kind, [0.5], box_half_width=half_width,
-                                nodes_per_axis=41, convention=convention)
         if kind is SystemKind.HO_FIELD:
-            state = StationaryHOState(0, 0, SystemParams(kind=kind, b0=0.5, omega0=1.0))
+            params = SystemParams(kind=kind, b0=0.5, omega0=1.0)
+            state = StationaryHOState(0, 0, params)
         else:
-            state = LandauState(0, SystemParams(kind=kind, b0=0.5))
+            params = SystemParams(kind=kind, b0=0.5)
+            state = LandauState(0, params)
+        [got] = entropy_vs_field([params], box_half_width=half_width,
+                                 nodes_per_axis=41, convention=convention)
         box = box_scheme((41,) * 4, [(-half_width, half_width)] * 4)
         want = shannon_entropy(state, box, convention)
-        assert rows[0][1] == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("half_width, want", [(1.0, 1.666462), (2.0, 4.128245)])
     def test_trap_truncating_box_values(self, half_width, want):
-        rows = entropy_vs_field(SystemKind.HO_FIELD, [0.5], box_half_width=half_width,
-                                nodes_per_axis=41)
-        assert rows[0][1] == pytest.approx(want, abs=1e-6)
+        [got] = entropy_vs_field([SystemParams(kind=SystemKind.HO_FIELD, b0=0.5, omega0=1.0)],
+                                 box_half_width=half_width, nodes_per_axis=41)
+        assert got == pytest.approx(want, abs=1e-6)
 
     def test_raw_landau_keeps_printed_prefactor(self):
         # the raw sweep integrates W_0 as printed, not box-normalized: its box
@@ -325,11 +327,10 @@ class TestEntropyVsField:
         assert integrate(state.value, 4, box41) == pytest.approx(sector ** 2 / math.pi, rel=1e-6)
         assert sector ** 2 / math.pi == pytest.approx(64.0, rel=1e-12)
         box = box_scheme((21,) * 4, [(-half_width, half_width)] * 4)
-        rows = entropy_vs_field(SystemKind.FREE_FIELD, [0.5], box_half_width=half_width,
-                                nodes_per_axis=21)
+        [got] = entropy_vs_field([p], box_half_width=half_width, nodes_per_axis=21)
         # the sweep sums over the two Landau ridges, the oracle over the 4D box
-        assert rows[0][1] == pytest.approx(shannon_entropy(state, box), rel=1e-12)
+        assert got == pytest.approx(shannon_entropy(state, box), rel=1e-12)
 
     def test_gravitational_kind_rejected(self):
         with pytest.raises(ValueError):
-            entropy_vs_field(SystemKind.GQW_BALLISTIC, [0.1])
+            entropy_vs_field([SystemParams(kind=SystemKind.GQW_BALLISTIC, b0=0.1)])

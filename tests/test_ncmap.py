@@ -86,6 +86,19 @@ def test_sigma_invertibility_boundary():
     assert sigma_invertible(NCParams(theta=0.5, eta=2.0), hbar=2.0)
 
 
+def test_products_that_leave_float_range():
+    # m^2 overflows, q hbar and hbar^2 underflow; each form is exact before rounding
+    heavy = SystemParams(kind=SystemKind.HO_FIELD, mass=1e200, omega0=1.0)
+    assert effective_b0_ho(NCParams(), heavy) == 0.0
+    tiny = SystemParams(kind=SystemKind.FREE_FIELD, charge=1e-300, hbar=1e-100)
+    assert effective_b0_free(NCParams(), tiny) == 0.0
+    with pytest.raises(ValueError):
+        effective_b0_free(NCParams(eta=1.0), tiny)
+    assert sigma_invertible(NCParams(), hbar=1e-170)
+    assert sigma_invertible(NCParams(theta=1e-200, eta=2e-200), hbar=1e-200)
+    assert not sigma_invertible(NCParams(theta=1e-200, eta=1e-200), hbar=1e-200)
+
+
 def test_nc_params_validation():
     with pytest.raises(ValueError):
         NCParams(theta=-0.1)

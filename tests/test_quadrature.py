@@ -8,8 +8,6 @@ import pytest
 import wigsim.quadrature as quad
 from wigsim.quadrature import (
     NonFiniteIntegrandError,
-    QuadratureScheme,
-    SchemeKind,
     box_scheme,
     hermite_scheme,
     integrate,
@@ -70,8 +68,7 @@ def test_scheme_validation():
     with pytest.raises(ValueError):
         box_scheme((10,), bounds=((1.0, 0.0),))
     with pytest.raises(ValueError):
-        QuadratureScheme(kind=SchemeKind.TENSOR_HERMITE, orders=(8,),
-                         centers=(0.0, 0.0), scales=(1.0,), bounds=None)
+        hermite_scheme((8,), centers=(0.0, 0.0))
     # infinite bounds, a width hi - lo that overflows, a non-finite center
     for bounds in (((-math.inf, 0.0),), ((0.0, math.inf),), ((-1e308, 1e308),)):
         with pytest.raises(ValueError, match="finite width"):

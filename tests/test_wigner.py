@@ -365,6 +365,23 @@ class TestSectors:
         with pytest.raises(ValueError):
             make().sectors()
 
+    @pytest.mark.parametrize("make", [
+        lambda: StationaryHOState(0, 0, SystemParams(kind=SystemKind.HO_FIELD, hbar=1e-300,
+                                                     b0=0.5, omega0=1.0)),
+        lambda: LandauState(0, SystemParams(kind=SystemKind.FREE_FIELD, mass=1e300, b0=0.5)),
+        lambda: LandauState(0, SystemParams(kind=SystemKind.FREE_FIELD, b0=1e-300)),
+    ], ids=["trap-hbar-1e-300", "landau-mass-1e300", "landau-b0-1e-300"])
+    def test_out_of_range_precisions_have_no_sectors(self, make):
+        # 1/hbar^2 overflows, or lam/kappa underflows to 0
+        with pytest.raises(ValueError, match="sector precisions"):
+            make().sectors()
+
+    def test_vanishing_precision_product_is_allowed(self):
+        # 1/hbar^2 underflows to 0 at hbar = 1e300, but both precisions stay positive
+        p = SystemParams(kind=SystemKind.HO_FIELD, hbar=1e300, b0=0.5, omega0=1.0)
+        (wa, _), (wb, _) = StationaryHOState(0, 0, p).sectors()
+        assert wa.hbar == wb.hbar == 1e300
+
     def test_sector_properties_are_read_only(self):
         state = GQWState(1, gqw_params())
         assert state.sector_x is state.sectors()[0][0]
