@@ -159,14 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_tokens(path: str, command: str, parser: argparse.ArgumentParser):
-    """A config file's 'key = value' lines as flag tokens; the keys a
-    subcommand allows are its own long flags less --config and --help."""
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    if command not in sub.choices:
-        raise ConfigError(f"unknown subcommand {command!r}")
-    allowed = {opt[2:] for action in sub.choices[command]._actions
-               for opt in action.option_strings if opt.startswith("--")} - {"config", "help"}
+def _with_config(argv, ns):
+    """argv with the --config file's 'key = value' lines as flag tokens right
+    after the subcommand, so explicit flags win; the keys a subcommand allows
+    are its own flags less --config."""
+    path, command = ns.config, ns.command
+    allowed = {dest.replace("_", "-") for dest in vars(ns)} - {"command", "config"}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -184,56 +182,23 @@ def _config_tokens(path: str, command: str, parser: argparse.ArgumentParser):
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
         tokens.extend([f"--{key}", value])
-    return tokens
-
-
-def _inject_config(argv, parser: argparse.ArgumentParser):
-    """Expand --config into flag tokens placed before explicit flags, so the
-    command line always wins."""
-    sub_index = None
-    for i, tok in enumerate(argv):
-        if not tok.startswith("-"):
-            sub_index = i
-            break
-    if sub_index is None:
-        return argv
-    rest = argv[sub_index + 1:]
-    path = None
-    for j, tok in enumerate(rest):
-        if tok == "--config" and j + 1 < len(rest):
-            path = rest[j + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return argv
-    tokens = _config_tokens(path, argv[sub_index], parser)
-    return argv[:sub_index + 1] + tokens + rest
-
-
-def _resolve_omega0(ns, system: str) -> float:
-    if ns.omega0 is not None:
-        return ns.omega0
-    return 1.0 if system == "ho" else 0.0
-
-
-def _resolve_gravity(ns, system: str) -> float:
-    if ns.gravity is not None:
-        return ns.gravity
-    return 2.0 if system in ("gqw", "gqw-b") else 0.0
+    at = argv.index(command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 _KINDS = {"ho": SystemKind.HO_FIELD, "free": SystemKind.FREE_FIELD,
           "gqw": SystemKind.GQW_BALLISTIC, "gqw-b": SystemKind.GQW_FIELD}
 
 
-def _make_params(system: str, b0: float, ns) -> SystemParams:
+def _make_params(ns, b0: float) -> SystemParams:
+    system = ns.system
     if system == "gqw" and b0 != 0:
         raise ValueError("system gqw is field-free; use gqw-b for b0 > 0")
     kind = _KINDS[system]
     if system.startswith("gqw") and b0 == 0:
         kind, b0 = SystemKind.GQW_BALLISTIC, 0.0
     return SystemParams(kind=kind, mass=ns.mass, hbar=ns.hbar, charge=ns.charge, b0=b0,
-                        omega0=_resolve_omega0(ns, system), g=_resolve_gravity(ns, system))
+                        omega0=ns.omega0, g=ns.gravity)
 
 
 def _initial_point(ns) -> PhasePoint:
@@ -250,13 +215,10 @@ _FLOW_KEYS = ("x0", "y0", "px0", "py0", "t_start", "t_end", "t_steps")
 def _config(command: str, ns, keys, **values) -> dict:
     """Header config of a run: command and version, then each key in order.
 
-    A key's value comes from values, else from the defaults here (omega0 and
-    gravity as resolved for ns.system, the fixed notes), else from the flag
-    of the same name.
+    A key's value comes from values, else from the fixed notes here, else
+    from the flag of the same name.
     """
-    values = {"omega0": _resolve_omega0(ns, ns.system),
-              "gravity": _resolve_gravity(ns, ns.system),
-              "epsilon_convention": _EPS_NOTE, "time_variable": "tau", **values}
+    values = {"epsilon_convention": _EPS_NOTE, "time_variable": "tau", **values}
     cfg = {"command": command, "wigsim_version": __version__}
     for key in keys:
         cfg[key] = values[key] if key in values else getattr(ns, key)
@@ -272,7 +234,7 @@ def _flow_sweep(ns):
     """The parameters of every b0, all built before any work, the initial
     point, the sample times and the (b0, tau) columns, b0 slowest."""
     b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
-    params = [_make_params(ns.system, b0, ns) for b0 in b0_list]
+    params = [_make_params(ns, b0) for b0 in b0_list]
     c0 = _initial_point(ns)
     _check_rows(ns.t_steps * len(b0_list))
     times = TimeGrid(ns.t_start, ns.t_end, ns.t_steps).times()
@@ -313,12 +275,10 @@ def _run_trajectory(ns):
 
 def _run_entropy(ns):
     b0_list = ns.b0 if ns.b0 is not None else _float_list(_ENTROPY_B0)
-    if ns.gravity not in (None, 0.0):
+    if ns.gravity != 0:
         raise ValueError("gravity does not apply to the entropy sweep systems")
-    if ns.system == "free" and ns.omega0 not in (None, 0.0):
+    if ns.system == "free" and ns.omega0 != 0:
         raise ValueError("omega0 does not apply to the free entropy sweep")
-    # the trap frequency of the ho rows; the free sweep has no trap
-    omega0 = _resolve_omega0(ns, "free" if ns.system == "free" else "ho")
     if not 3 <= ns.quad_order <= _ENTROPY_ORDER_LIMIT:
         raise ValueError(f"quad-order (box nodes per axis) must be between 3 and "
                          f"{_ENTROPY_ORDER_LIMIT}, got {ns.quad_order}")
@@ -326,7 +286,7 @@ def _run_entropy(ns):
                   else measures.EntropyConvention.NORMALIZED_BOX)
     systems = ["ho", "free"] if ns.system == "both" else [ns.system]
     params = [SystemParams(kind=_KINDS[name], mass=ns.mass, hbar=ns.hbar, charge=ns.charge,
-                           b0=b0, omega0=omega0 if name == "ho" else 0.0)
+                           b0=b0, omega0=ns.omega0 if name == "ho" else 0.0)
               for name in systems for b0 in b0_list]
     values = measures.entropy_vs_field(params, box_half_width=ns.box_half_width,
                                        nodes_per_axis=ns.quad_order, convention=convention)
@@ -334,7 +294,7 @@ def _run_entropy(ns):
              "entropy": values, "convention": [ns.entropy_convention] * len(params)}
     cfg = _config("entropy", ns, ("system", "b0", *_PHYSICS_KEYS, "quad_order",
                                   "box_half_width", "entropy_convention", "epsilon_convention"),
-                  b0=b0_list, omega0=omega0)
+                  b0=b0_list)
     return table, cfg
 
 
@@ -344,7 +304,7 @@ def _run_spectrum(ns):
     b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
     n_levels = ns.n_max + 1
     if ns.system == "ho":
-        params = [_make_params("ho", b0, ns) for b0 in b0_list]
+        params = [_make_params(ns, b0) for b0 in b0_list]
         _check_rows(n_levels ** 2 * len(b0_list))
         n1, n2 = np.divmod(np.arange(n_levels ** 2), n_levels)
         table = {"b0": np.repeat(b0_list, n_levels ** 2), "n1": np.tile(n1, len(b0_list)),
@@ -356,7 +316,7 @@ def _run_spectrum(ns):
         b0_used = [b0 for b0 in b0_list if b0 > 0]
         if not b0_used:
             raise ValueError("the Landau ladder needs at least one positive b0")
-        params = [_make_params("free", b0, ns) for b0 in b0_used]
+        params = [_make_params(ns, b0) for b0 in b0_used]
         _check_rows(n_levels * len(b0_used))
         table = {"b0": np.repeat(b0_used, n_levels),
                  "n": np.tile(np.arange(n_levels), len(b0_used)),
@@ -367,7 +327,7 @@ def _run_spectrum(ns):
             raise ValueError("gravitational levels start at n_y = 1; n-max must be >= 1")
         _check_rows(ns.n_max)
         n_y = np.arange(1, ns.n_max + 1)
-        table = {"n_y": n_y, "energy": wigner.gqw_energy(n_y, _make_params(ns.system, 0.0, ns))}
+        table = {"n_y": n_y, "energy": wigner.gqw_energy(n_y, _make_params(ns, 0.0))}
         b0_used = []
     cfg = _config("spectrum", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", "n_max"), b0=b0_used)
     return table, cfg
@@ -375,7 +335,7 @@ def _run_spectrum(ns):
 
 def _run_ncmap(ns):
     nc = NCParams(theta=ns.theta, eta=ns.eta, mu=ns.mu, nu=ns.nu)
-    params = _make_params(ns.system, 0.0, ns)
+    params = _make_params(ns, 0.0)
     row = {"map": ns.system, "theta": ns.theta, "eta": ns.eta, "mu": ns.mu, "nu": ns.nu}
     if ns.system == "ho":
         row["b0_effective"] = effective_b0_ho(nc, params)
@@ -405,41 +365,30 @@ _RUNNERS = {
 }
 
 
-def _format_cell(value) -> str:
-    """A str, int or bool cell or config value as CSV text."""
+def _text(value) -> str:
+    """A header value or non-float cell as CSV text: a float at 12 significant
+    digits when they read back as the same float, else at repr, so a run from
+    the header uses the same value."""
+    if isinstance(value, (list, tuple)):
+        return ", ".join(map(_text, value))
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float):
+        text = f"{value:.12g}"
+        return text if float(text) == value else repr(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(value)
 
 
-def _config_float(value: float) -> str:
-    """A header float at 12 significant digits when they read back as the
-    same float, else at repr, so a run from the header uses the same value."""
-    text = f"{value:.12g}"
-    return text if float(text) == value else repr(value)
-
-
-def _config_line(value) -> str:
+def _json_data(value):
+    """A header value or non-float cell as a JSON-ready value; a float passes
+    through, since JSON writes its repr, which reads back as the same float."""
     if isinstance(value, (list, tuple)):
-        return ", ".join(_config_line(v) for v in value)
-    return _config_float(value) if isinstance(value, float) else _format_cell(value)
-
-
-def _json_value(value):
-    """A str, int or bool cell or config value as a JSON-ready value."""
+        return [_json_data(v) for v in value]
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     return value
-
-
-def _json_config(value):
-    if isinstance(value, float):
-        return float(_config_float(value))
-    if isinstance(value, (list, tuple)):
-        return [_json_config(v) for v in value]
-    return _json_value(value)
 
 
 def _column_cells(name: str, column, fmt: str) -> list:
@@ -452,8 +401,8 @@ def _column_cells(name: str, column, fmt: str) -> list:
     if column.dtype.kind != "f":
         values = column.tolist()
         if fmt == "csv":
-            return [_format_cell(v) for v in values]
-        return [json.dumps(_json_value(v)) for v in values]
+            return [_text(v) for v in values]
+        return [json.dumps(_json_data(v)) for v in values]
     if not np.isfinite(column).all():
         raise NonFiniteCellError(f"column {name!r} has a non-finite value")
     cells = list(map("{:.12g}".format, column.tolist()))
@@ -466,12 +415,12 @@ def _render(fmt: str, command: str, config: dict, table: dict) -> str:
     if fmt == "csv":
         lines = [f"# wigsim {command}"]
         for key, value in config.items():
-            lines.append(f"# {key} = {_config_line(value)}")
+            lines.append(f"# {key} = {_text(value)}")
         lines.append(",".join(table))
         lines.extend(map(",".join, zip(*columns)))
         return "\n".join(lines) + "\n"
     # the layout json.dumps(doc, indent=2) gives, with each row from one template
-    head = json.dumps({"config": {k: _json_config(v) for k, v in config.items()}}, indent=2)
+    head = json.dumps({"config": {k: _json_data(v) for k, v in config.items()}}, indent=2)
     keys = (json.dumps(name).replace("%", "%%") for name in table)
     row = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
     rows = ",\n".join(row % cells for cells in zip(*columns))
@@ -480,26 +429,28 @@ def _render(fmt: str, command: str, config: dict, table: dict) -> str:
 
 
 def main(argv=None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        expanded = _inject_config(raw, parser)
-    except ConfigError as exc:
-        print(f"error: E_PARSE: {exc}", file=sys.stderr)
-        return 2
-    try:
-        ns = parser.parse_args(expanded)
+        ns = parser.parse_args(argv)
+        if ns.config is not None:
+            ns = parser.parse_args(_with_config(argv, ns))
     except SystemExit as exc:
         # argparse has already printed its message; fold into our exit codes
         return 0 if exc.code in (0, None) else 2
+    except ConfigError as exc:
+        print(f"error: E_PARSE: {exc}", file=sys.stderr)
+        return 2
+    # the defaults that depend on the system, resolved once for every use
+    if ns.omega0 is None:
+        ns.omega0 = 1.0 if ns.system in ("ho", "both") else 0.0
+    if ns.gravity is None:
+        ns.gravity = 2.0 if ns.system in ("gqw", "gqw-b") else 0.0
 
     try:
         table, config = _RUNNERS[ns.command](ns)
         config["format"] = ns.format
         text = _render(ns.format, ns.command, config, table)
-    except ConfigError as exc:
-        print(f"error: E_PARSE: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: E_RANGE: {exc}", file=sys.stderr)
         return 2

@@ -99,9 +99,12 @@ def gqw_nc_map(nc: NCParams, params: SystemParams) -> tuple[float, CoordinateShi
 def auxiliary_s(mu: float, nu: float) -> float:
     """s = 1/(mu nu) - 1; s -> 0 is the identity scaling, s -> 1 recovers
     the undeformed free system."""
-    if not (mu * nu > 0):
-        raise ValueError("mu * nu must be positive")
-    return 1.0 / (mu * nu) - 1.0
+    if not (mu > 0 and nu > 0):
+        raise ValueError("mu and nu must be positive")
+    prod = mu * nu
+    if not (0 < prod and 1.0 / prod < math.inf):
+        raise ValueError(f"1/(mu nu) is out of float range for mu={mu!r}, nu={nu!r}")
+    return 1.0 / prod - 1.0
 
 
 def sigma_invertible(nc: NCParams, hbar: float) -> bool:

@@ -60,7 +60,7 @@ class HOSector:
     def value(self, a, b):
         da = np.asarray(a, dtype=float) - self.center[0]
         db = np.asarray(b, dtype=float) - self.center[1]
-        with np.errstate(over="ignore"):   # callers check the cells are finite
+        with np.errstate(over="ignore", invalid="ignore"):   # callers check the cells are finite
             arg = (self.ratio * da * da + self.cross * da * db + db * db / self.ratio) / self.hbar
             out = self.norm * np.exp(-arg) / (math.pi * self.hbar)
         return _unwrap_scalar(out)

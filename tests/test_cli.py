@@ -180,7 +180,8 @@ def test_config_keys_are_the_long_flags(capsys, tmp_path, command):
     flags = set(re.findall(r"--[a-z0-9][a-z0-9-]*", help_text)) - {"--config", "--help"}
     cfg = tmp_path / "all.cfg"
     cfg.write_text("".join(f"{flag[2:]} = 1\n" for flag in sorted(flags)))
-    argv = cli._inject_config([command, "--config", str(cfg)], cli.build_parser())
+    argv = [command, "--config", str(cfg)]
+    argv = cli._with_config(argv, cli.build_parser().parse_args(argv))
     # the config tokens go between the subcommand and the explicit flags
     assert set(argv[1:-2:2]) == flags
 
@@ -202,6 +203,31 @@ def test_config_unreadable_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "trajectory", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2
     assert "E_PARSE" in err
+
+
+@pytest.mark.parametrize("flag", ["--conf", "--co"])
+def test_config_flag_prefix_reads_the_file(capsys, tmp_path, flag):
+    # argparse takes any unique prefix of a flag, so the file must be read too
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("t-steps = 3\nb0 = 0.25\n")
+    code, want, err = run_cli(capsys, "trajectory", "--config", str(cfg))
+    assert code == 0, err
+    assert len(parse_csv(want)[2]) == 3
+    assert run_cli(capsys, "trajectory", flag, str(cfg)) == (0, want, "")
+
+
+@pytest.mark.parametrize("text", ["bogus = 1\n", None], ids=["unknown-key", "missing"])
+def test_flag_errors_and_help_come_before_config_errors(capsys, tmp_path, text):
+    cfg = tmp_path / "bad.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run_cli(capsys, "trajectory", "--config", str(cfg), "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: wigsim trajectory ")
+    code, out, err = run_cli(capsys, "trajectory", "--config", str(cfg), "--t-steps", "abc")
+    assert code == 2 and out == ""
+    assert err.splitlines()[0].startswith("usage: wigsim trajectory ")
+    assert "argument --t-steps: invalid int value: 'abc'" in err and "E_PARSE" not in err
 
 
 def test_bad_mass_maps_to_range_error(capsys):
@@ -357,6 +383,11 @@ _NCMAP_SIGMAS = [
     ("ncmap", "--system", "free", "--hbar", "1e-170"),
     ("ncmap", "--system", "ho", "--theta", "1e-200", "--eta", "2e-200", "--hbar", "1e-200"),
 ]
+# positive mu and nu whose 1/(mu nu) is out of float range
+_NCMAP_AUX = [
+    ("ncmap", "--mu", "1e-200", "--nu", "1e-200"),
+    ("ncmap", "--mu", "1e-160", "--nu", "1e-160"),
+]
 _NCMAP_EXTREMES = _NCMAP_CRASHES + _NCMAP_SIGMAS
 _NCMAP_EXTREME_IDS = ["ncmap-ho-heavy", "ncmap-gqw-tiny-nu-hbar", "ncmap-ho-tiny-q-hbar",
                       "ncmap-free-tiny-q-hbar", "ncmap-free-tiny-hbar", "ncmap-ho-tiny-theta-eta"]
@@ -379,9 +410,11 @@ _NCMAP_EXTREME_IDS = ["ncmap-ho-heavy", "ncmap-gqw-tiny-nu-hbar", "ncmap-ho-tiny
     ("fidelity", "--system", "ho", "--x0", "2", "--mass", "3.6e205", "--t-steps", "3",
      "--quad-order", "4"),
     *_NCMAP_EXTREMES,
+    *_NCMAP_AUX,
 ], ids=["fidelity-x0-1e200", "fidelity-mass-1e-300", "entropy-mass-1e300",
         "entropy-free-b0-1e-300", "entropy-hbar-1e-300", "fidelity-free-far",
-        "fidelity-gqw-b-far", "fidelity-ho-heavy", *_NCMAP_EXTREME_IDS])
+        "fidelity-gqw-b-far", "fidelity-ho-heavy", *_NCMAP_EXTREME_IDS,
+        "ncmap-aux-mu-nu-1e-200", "ncmap-aux-mu-nu-1e-160"])
 def test_extreme_parameters_leave_at_most_one_error_line(capsys, argv):
     # warnings are errors here, so a numpy RuntimeWarning fails the case
     code, out, err = run_cli(capsys, *argv)
@@ -391,6 +424,8 @@ def test_extreme_parameters_leave_at_most_one_error_line(capsys, argv):
     else:
         assert err.startswith("error: E_") and err.count("\n") == 1
         assert out == ""
+    # mu and nu are both positive, so the error must not say otherwise
+    assert "must be positive" not in err
 
 
 @pytest.mark.parametrize("argv", _NCMAP_CRASHES, ids=_NCMAP_EXTREME_IDS[:4])
@@ -436,8 +471,12 @@ def test_unused_omega0_or_gravity_is_range_error(capsys, argv):
     ("trajectory", "--system", "gqw", "--b0", "0", "--gravity", "1e308", "--t-steps", "3"),
     ("fidelity", "--x0", "1e153", "--t-steps", "3"),
     ("entropy", "--system", "free", "--hbar", "1e-150", "--b0", "0.5"),
+    # the ridge's norm and divisor pi hbar both overflow, and inf/inf is nan
+    ("entropy", "--system", "free", "--hbar", "1.7e308"),
+    ("entropy", "--hbar", "6e307", "--b0", "0.5"),
 ], ids=["spectrum-ho-inf-energy", "trajectory-gqw-inf-drop", "fidelity-paper-exp-overflow",
-        "entropy-free-ridge-exp-overflow"])
+        "entropy-free-ridge-exp-overflow", "entropy-free-ridge-hbar-1.7e308",
+        "entropy-ridge-hbar-6e307"])
 def test_non_finite_cell_is_numeric_error(capsys, argv, fmt):
     # warnings are errors here: an exp that overflows to inf must not warn first
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
@@ -611,13 +650,13 @@ def _row_render(fmt, command, config, columns, rows):
     if fmt == "csv":
         lines = [f"# wigsim {command}"]
         for key, value in config.items():
-            lines.append(f"# {key} = {cli._config_line(value)}")
+            lines.append(f"# {key} = {cli._text(value)}")
         lines.append(",".join(columns))
         for row in rows:
             lines.append(",".join(_row_format_cell(row[c]) for c in columns))
         return "\n".join(lines) + "\n"
     doc = {
-        "config": {k: cli._json_config(v) for k, v in config.items()},
+        "config": {k: cli._json_data(v) for k, v in config.items()},
         "rows": [{c: _row_json_value(row[c]) for c in columns} for row in rows],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -644,7 +683,7 @@ def test_columnar_render_matches_row_render(table, fmt):
     want = _row_render(fmt, "spectrum", _RENDER_CONFIG, columns, rows)
     assert cli._render(fmt, "spectrum", _RENDER_CONFIG, table) == want
     if fmt == "json":
-        doc = {"config": {k: cli._json_config(v) for k, v in _RENDER_CONFIG.items()},
+        doc = {"config": {k: cli._json_data(v) for k, v in _RENDER_CONFIG.items()},
                "rows": [{c: _row_json_value(row[c]) for c in columns} for row in rows]}
         assert want == json.dumps(doc, indent=2) + "\n"
 
