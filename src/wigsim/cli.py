@@ -11,6 +11,8 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
@@ -159,17 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_config(argv, ns):
-    """argv with the --config file's 'key = value' lines as flag tokens right
-    after the subcommand, so explicit flags win; the keys a subcommand allows
-    are its own flags less --config."""
+def _config_entries(ns) -> list:
+    """The --config file's 'key = value' lines as (path:line, key, value);
+    the keys a subcommand allows are its own flags less --config."""
     path, command = ns.config, ns.command
     allowed = {dest.replace("_", "-") for dest in vars(ns)} - {"command", "config"}
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    tokens = []
+    entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -181,9 +182,28 @@ def _with_config(argv, ns):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-        tokens.extend([f"--{key}", value])
+        entries.append((f"{path}:{lineno}", key, value))
+    return entries
+
+
+def _check_config_values(parser, command: str, entries) -> None:
+    """Parse each entry alone, so that a value argparse rejects is an E_PARSE
+    error at its file line with argparse's message, not a usage error."""
+    for where, key, value in entries:
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                parser.parse_args([command, f"--{key}", value])
+        except SystemExit:
+            message = err.getvalue().splitlines()[-1].split(": error: ", 1)[-1]
+            raise ConfigError(f"{where}: {message}") from None
+
+
+def _with_config(argv, command: str, entries):
+    """argv with the config entries as flag tokens right after the
+    subcommand, so explicit flags win."""
     at = argv.index(command) + 1
-    return argv[:at] + tokens + argv[at:]
+    return argv[:at] + [t for _, key, value in entries for t in (f"--{key}", value)] + argv[at:]
 
 
 _KINDS = {"ho": SystemKind.HO_FIELD, "free": SystemKind.FREE_FIELD,
@@ -309,8 +329,7 @@ def _run_spectrum(ns):
         n1, n2 = np.divmod(np.arange(n_levels ** 2), n_levels)
         table = {"b0": np.repeat(b0_list, n_levels ** 2), "n1": np.tile(n1, len(b0_list)),
                  "n2": np.tile(n2, len(b0_list)),
-                 "energy": [wigner.ho_energy(a, b, p) for p in params
-                            for a, b in zip(n1.tolist(), n2.tolist())]}
+                 "energy": np.concatenate([wigner.ho_energy(n1, n2, p) for p in params])}
         b0_used = b0_list
     elif ns.system == "free":
         b0_used = [b0 for b0 in b0_list if b0 > 0]
@@ -318,9 +337,9 @@ def _run_spectrum(ns):
             raise ValueError("the Landau ladder needs at least one positive b0")
         params = [_make_params(ns, b0) for b0 in b0_used]
         _check_rows(n_levels * len(b0_used))
-        table = {"b0": np.repeat(b0_used, n_levels),
-                 "n": np.tile(np.arange(n_levels), len(b0_used)),
-                 "energy": [wigner.landau_energy(n, p) for p in params for n in range(n_levels)]}
+        n = np.arange(n_levels)
+        table = {"b0": np.repeat(b0_used, n_levels), "n": np.tile(n, len(b0_used)),
+                 "energy": np.concatenate([wigner.landau_energy(n, p) for p in params])}
     else:
         # gravitational levels are field-independent; the b0 list is unused
         if ns.n_max < 1:
@@ -376,19 +395,7 @@ def _text(value) -> str:
     if isinstance(value, float):
         text = f"{value:.12g}"
         return text if float(text) == value else repr(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
-
-
-def _json_data(value):
-    """A header value or non-float cell as a JSON-ready value; a float passes
-    through, since JSON writes its repr, which reads back as the same float."""
-    if isinstance(value, (list, tuple)):
-        return [_json_data(v) for v in value]
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    return value
 
 
 def _column_cells(name: str, column, fmt: str) -> list:
@@ -398,11 +405,10 @@ def _column_cells(name: str, column, fmt: str) -> list:
     float those digits read back as, which is what json.dumps writes for it.
     """
     column = np.asarray(column)
+    if column.dtype.kind in "iu":   # str of a Python int is also its JSON text
+        return list(map(str, column.tolist()))
     if column.dtype.kind != "f":
-        values = column.tolist()
-        if fmt == "csv":
-            return [_text(v) for v in values]
-        return [json.dumps(_json_data(v)) for v in values]
+        return list(map(_text if fmt == "csv" else json.dumps, column.tolist()))
     if not np.isfinite(column).all():
         raise NonFiniteCellError(f"column {name!r} has a non-finite value")
     cells = list(map("{:.12g}".format, column.tolist()))
@@ -420,7 +426,8 @@ def _render(fmt: str, command: str, config: dict, table: dict) -> str:
         lines.extend(map(",".join, zip(*columns)))
         return "\n".join(lines) + "\n"
     # the layout json.dumps(doc, indent=2) gives, with each row from one template
-    head = json.dumps({"config": {k: _json_data(v) for k, v in config.items()}}, indent=2)
+    # JSON writes a float's repr, which reads back as the same float
+    head = json.dumps({"config": config}, indent=2)
     keys = (json.dumps(name).replace("%", "%%") for name in table)
     row = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
     rows = ",\n".join(row % cells for cells in zip(*columns))
@@ -434,7 +441,9 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         if ns.config is not None:
-            ns = parser.parse_args(_with_config(argv, ns))
+            entries = _config_entries(ns)
+            _check_config_values(parser, ns.command, entries)
+            ns = parser.parse_args(_with_config(argv, ns.command, entries))
     except SystemExit as exc:
         # argparse has already printed its message; fold into our exit codes
         return 0 if exc.code in (0, None) else 2

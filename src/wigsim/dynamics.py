@@ -21,7 +21,7 @@ import numpy as np
 from .model import PhasePoint, SystemParams
 from .specfun import _unwrap_scalar
 
-__all__ = ["flow_map", "evolve", "canonical_rhs", "ode_residual", "flow_jacobian"]
+__all__ = ["flow_map", "evolve"]
 
 
 def _quadratic_map(omega: float, big_omega: float, mass: float, t) -> np.ndarray:
@@ -115,47 +115,3 @@ def evolve(params: SystemParams, initial: PhasePoint, t) -> PhasePoint:
     GQW_FIELD system with b0 = 0 moves ballistically.
     """
     return _transport(*flow_map(params, t), initial)
-
-
-def canonical_rhs(params: SystemParams, point: PhasePoint) -> np.ndarray:
-    """Right-hand side (dx, dy, dpx, dpy)/dt of the canonical equations."""
-    x, y, px, py = (np.asarray(c, dtype=float) for c in point)
-    lam2 = params.lam ** 2
-    kap2 = params.kappa ** 2
-    w = params.omega
-    return np.stack(
-        np.broadcast_arrays(
-            2.0 * kap2 * px + w * y,
-            2.0 * kap2 * py - w * x,
-            -2.0 * lam2 * x + w * py,
-            -2.0 * lam2 * y - w * px - params.mass * params.g,
-        ),
-        axis=-1,
-    )
-
-
-def ode_residual(params: SystemParams, initial: PhasePoint, t: float, h: float = 1e-5) -> float:
-    """Max abs difference between the central-difference derivative of the
-    closed-form flow and the canonical right-hand side at time t."""
-    up = evolve(params, initial, t + h).as_array()
-    um = evolve(params, initial, t - h).as_array()
-    deriv = (up - um) / (2.0 * h)
-    rhs = canonical_rhs(params, evolve(params, initial, t))
-    return float(np.max(np.abs(deriv - rhs)))
-
-
-def flow_jacobian(params: SystemParams, initial: PhasePoint, t: float,
-                  h: float = 1e-6) -> np.ndarray:
-    """Jacobian of the time-t flow map with respect to the initial point,
-    by central differences.  Exactly symplectic flows give det = 1."""
-    base = np.asarray(initial.as_array(), dtype=float)
-    jac = np.empty((4, 4))
-    for j in range(4):
-        up = base.copy()
-        um = base.copy()
-        up[j] += h
-        um[j] -= h
-        fp = evolve(params, PhasePoint(*up), t).as_array()
-        fm = evolve(params, PhasePoint(*um), t).as_array()
-        jac[:, j] = (fp - fm) / (2.0 * h)
-    return jac

@@ -20,14 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import _unwrap_scalar
-
 __all__ = [
     "SystemKind",
     "PhasePoint",
     "TimeGrid",
     "SystemParams",
-    "hamiltonian_value",
 ]
 
 
@@ -145,23 +142,3 @@ class SystemParams:
     @property
     def big_omega(self) -> float:
         return 2.0 * self.lam * self.kappa
-
-
-def hamiltonian_value(params: SystemParams, point: PhasePoint):
-    """Evaluate the quadratic Hamiltonian at a phase point.
-
-    Accepts array-valued components and broadcasts.
-    """
-    x = np.asarray(point.x, dtype=float)
-    y = np.asarray(point.y, dtype=float)
-    px = np.asarray(point.px, dtype=float)
-    py = np.asarray(point.py, dtype=float)
-    lam2 = params.lam ** 2
-    kap2 = params.kappa ** 2
-    val = (
-        lam2 * (x * x + y * y)
-        + kap2 * (px * px + py * py)
-        + params.omega * (px * y - py * x)
-        + params.mass * params.g * y
-    )
-    return _unwrap_scalar(val)

@@ -80,12 +80,7 @@ class CoordinateShift:
     shear_x_from_py: float
 
     def apply(self, point: PhasePoint) -> PhasePoint:
-        return PhasePoint(
-            self.scale_x * point.x + self.shear_x_from_py * point.py,
-            point.y,
-            point.px,
-            point.py,
-        )
+        return point._replace(x=self.scale_x * point.x + self.shear_x_from_py * point.py)
 
 
 def gqw_nc_map(nc: NCParams, params: SystemParams) -> tuple[float, CoordinateShift]:

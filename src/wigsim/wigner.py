@@ -160,9 +160,11 @@ class StationaryHOState(ProductState):
         return (sector, (0, 2)), (sector, (1, 3))
 
 
-def ho_energy(n1: int, n2: int, params: SystemParams) -> float:
-    """E_{n1,n2} = hbar [big_omega (n1 + n2 + 1) + omega (n1 - n2)]."""
-    if n1 < 0 or n2 < 0:
+@np.errstate(over="ignore", invalid="ignore")   # callers check the energies are finite
+def ho_energy(n1, n2, params: SystemParams):
+    """E_{n1,n2} = hbar [big_omega (n1 + n2 + 1) + omega (n1 - n2)], also
+    over integer arrays n1, n2 that broadcast."""
+    if np.any(np.asarray(n1) < 0) or np.any(np.asarray(n2) < 0):
         raise ValueError("quantum numbers must be nonnegative")
     return params.hbar * (params.big_omega * (n1 + n2 + 1) + params.omega * (n1 - n2))
 
@@ -204,9 +206,10 @@ class LandauState(ProductState):
                 (HOSector(ratio, p.hbar, cross=2.0), (1, 2)))
 
 
-def landau_energy(n: int, params: SystemParams) -> float:
-    """E_n = hbar omega (2n + 1)."""
-    if n < 0:
+@np.errstate(over="ignore")   # callers check the energies are finite
+def landau_energy(n, params: SystemParams):
+    """E_n = hbar omega (2n + 1), for a level index or an integer array of them."""
+    if np.any(np.asarray(n) < 0):
         raise ValueError("Landau index must be nonnegative")
     if not params.omega > 0:
         raise ValueError("Landau ladder requires omega > 0")

@@ -1,19 +1,86 @@
 """Independent numerical routes used to pin expected values.
 
 Nothing here reuses the package's closed-form or series implementations.
-The only shared ingredient is hamiltonian_value, which is the definition
-both routes must satisfy.
+hamiltonian_value and canonical_rhs state the Hamiltonian and its canonical
+equations directly; ode_residual and flow_jacobian difference the package's
+evolve, the flow under test, and compare it with them.
 """
 
 import math
 
 import numpy as np
 
-from wigsim.model import PhasePoint, hamiltonian_value
+from wigsim.dynamics import evolve
+from wigsim.model import PhasePoint, SystemParams
+from wigsim.specfun import _unwrap_scalar
 
 # Ai(0) and Ai'(0), exact to double precision
 AIRY_AT_ZERO = 0.35502805388781723926
 AIRY_PRIME_AT_ZERO = -0.25881940379280679840
+
+
+def hamiltonian_value(params: SystemParams, point: PhasePoint):
+    """Evaluate the quadratic Hamiltonian at a phase point.
+
+    Accepts array-valued components and broadcasts.
+    """
+    x = np.asarray(point.x, dtype=float)
+    y = np.asarray(point.y, dtype=float)
+    px = np.asarray(point.px, dtype=float)
+    py = np.asarray(point.py, dtype=float)
+    lam2 = params.lam ** 2
+    kap2 = params.kappa ** 2
+    val = (
+        lam2 * (x * x + y * y)
+        + kap2 * (px * px + py * py)
+        + params.omega * (px * y - py * x)
+        + params.mass * params.g * y
+    )
+    return _unwrap_scalar(val)
+
+
+def canonical_rhs(params: SystemParams, point: PhasePoint) -> np.ndarray:
+    """Right-hand side (dx, dy, dpx, dpy)/dt of the canonical equations."""
+    x, y, px, py = (np.asarray(c, dtype=float) for c in point)
+    lam2 = params.lam ** 2
+    kap2 = params.kappa ** 2
+    w = params.omega
+    return np.stack(
+        np.broadcast_arrays(
+            2.0 * kap2 * px + w * y,
+            2.0 * kap2 * py - w * x,
+            -2.0 * lam2 * x + w * py,
+            -2.0 * lam2 * y - w * px - params.mass * params.g,
+        ),
+        axis=-1,
+    )
+
+
+def ode_residual(params: SystemParams, initial: PhasePoint, t: float, h: float = 1e-5) -> float:
+    """Max abs difference between the central-difference derivative of the
+    closed-form flow and the canonical right-hand side at time t."""
+    up = evolve(params, initial, t + h).as_array()
+    um = evolve(params, initial, t - h).as_array()
+    deriv = (up - um) / (2.0 * h)
+    rhs = canonical_rhs(params, evolve(params, initial, t))
+    return float(np.max(np.abs(deriv - rhs)))
+
+
+def flow_jacobian(params: SystemParams, initial: PhasePoint, t: float,
+                  h: float = 1e-6) -> np.ndarray:
+    """Jacobian of the time-t flow map with respect to the initial point,
+    by central differences.  Exactly symplectic flows give det = 1."""
+    base = np.asarray(initial.as_array(), dtype=float)
+    jac = np.empty((4, 4))
+    for j in range(4):
+        up = base.copy()
+        um = base.copy()
+        up[j] += h
+        um[j] -= h
+        fp = evolve(params, PhasePoint(*up), t).as_array()
+        fm = evolve(params, PhasePoint(*um), t).as_array()
+        jac[:, j] = (fp - fm) / (2.0 * h)
+    return jac
 
 
 def hamiltonian_rhs(params, u, step=1e-6):

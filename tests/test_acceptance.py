@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import wigsim.cli as cli
-from oracles import airy_ode_values
+from oracles import airy_ode_values, flow_jacobian, hamiltonian_value, ode_residual
 from wigsim import measures, quadrature
-from wigsim.dynamics import evolve, flow_jacobian, ode_residual
+from wigsim.dynamics import evolve
 from wigsim.measures import EntropyConvention, entropy_vs_field, shannon_entropy
-from wigsim.model import PhasePoint, SystemKind, SystemParams, hamiltonian_value
+from wigsim.model import PhasePoint, SystemKind, SystemParams
 from wigsim.ncmap import NCParams, auxiliary_s, effective_b0_ho, sigma_invertible
 from wigsim.wigner import (
     GaussianWigner,

@@ -181,7 +181,8 @@ def test_config_keys_are_the_long_flags(capsys, tmp_path, command):
     cfg = tmp_path / "all.cfg"
     cfg.write_text("".join(f"{flag[2:]} = 1\n" for flag in sorted(flags)))
     argv = [command, "--config", str(cfg)]
-    argv = cli._with_config(argv, cli.build_parser().parse_args(argv))
+    argv = cli._with_config(argv, command,
+                            cli._config_entries(cli.build_parser().parse_args(argv)))
     # the config tokens go between the subcommand and the explicit flags
     assert set(argv[1:-2:2]) == flags
 
@@ -228,6 +229,29 @@ def test_flag_errors_and_help_come_before_config_errors(capsys, tmp_path, text):
     assert code == 2 and out == ""
     assert err.splitlines()[0].startswith("usage: wigsim trajectory ")
     assert "argument --t-steps: invalid int value: 'abc'" in err and "E_PARSE" not in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("t-steps = abc", "argument --t-steps: invalid int value: 'abc'"),
+    ("system = moon", "argument --system: invalid choice: 'moon'"),
+    ("b0 = 0.5, x", "argument --b0: expected a comma-separated float list, got '0.5, x'"),
+])
+def test_config_bad_value_is_parse_error_at_its_line(capsys, tmp_path, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\nt-end = 2.0\n")
+    code, out, err = run_cli(capsys, "trajectory", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: E_PARSE: {cfg}:1: {message}")
+    assert err.count("\n") == 1 and "usage" not in err
+    # the line number is the file's, after comments and blank lines
+    cfg.write_text(f"# sweep\n\nt-end = 2.0\n{line}\n")
+    code, out, err = run_cli(capsys, "trajectory", "--config", str(cfg))
+    assert code == 2 and err.startswith(f"error: E_PARSE: {cfg}:4: {message}")
+    # a good value in the file is still overridden by a flag
+    cfg.write_text("t-steps = 3\n")
+    code, out, err = run_cli(capsys, "trajectory", "--config", str(cfg), "--t-steps", "4")
+    assert code == 0, err
+    assert parse_csv(out)[0]["t_steps"] == "4"
 
 
 def test_bad_mass_maps_to_range_error(capsys):
@@ -656,7 +680,7 @@ def _row_render(fmt, command, config, columns, rows):
             lines.append(",".join(_row_format_cell(row[c]) for c in columns))
         return "\n".join(lines) + "\n"
     doc = {
-        "config": {k: cli._json_data(v) for k, v in config.items()},
+        "config": config,
         "rows": [{c: _row_json_value(row[c]) for c in columns} for row in rows],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -683,7 +707,7 @@ def test_columnar_render_matches_row_render(table, fmt):
     want = _row_render(fmt, "spectrum", _RENDER_CONFIG, columns, rows)
     assert cli._render(fmt, "spectrum", _RENDER_CONFIG, table) == want
     if fmt == "json":
-        doc = {"config": {k: cli._json_data(v) for k, v in _RENDER_CONFIG.items()},
+        doc = {"config": _RENDER_CONFIG,
                "rows": [{c: _row_json_value(row[c]) for c in columns} for row in rows]}
         assert want == json.dumps(doc, indent=2) + "\n"
 

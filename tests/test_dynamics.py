@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wigsim.dynamics import canonical_rhs, evolve, flow_jacobian, flow_map, ode_residual
-from wigsim.model import PhasePoint, SystemKind, SystemParams, hamiltonian_value
+from wigsim.dynamics import evolve, flow_map
+from wigsim.model import PhasePoint, SystemKind, SystemParams
 
-from oracles import hamiltonian_rhs, rk4_evolve
+from oracles import (
+    canonical_rhs,
+    flow_jacobian,
+    hamiltonian_rhs,
+    hamiltonian_value,
+    ode_residual,
+    rk4_evolve,
+)
 
 C0 = PhasePoint(1.0, 1.0, 1.0, 1.0)
 

@@ -5,13 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from wigsim.model import (
-    PhasePoint,
-    SystemKind,
-    SystemParams,
-    TimeGrid,
-    hamiltonian_value,
-)
+from wigsim.model import PhasePoint, SystemKind, SystemParams, TimeGrid
+
+from oracles import hamiltonian_value
 
 
 def test_omega_is_half_cyclotron():

@@ -1,6 +1,7 @@
 """Laguerre, Airy, and Gauss-Hermite building blocks."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -21,6 +22,21 @@ from oracles import airy_ode_values, gaussian_moment, laguerre_series
 AIRY_A1 = -2.3381074104597674
 AIRY_A2 = -4.087949444130971
 AIRY_AT_10 = 1.1047532552898695e-10
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# mpmath values at 30 digits, written by tools/mpmath_reference.py; each test
+# that reads a table has a companion that recomputes a seeded sample live
+MPMATH_REFERENCE = _load_tool("mpmath_reference")
+REFERENCE = json.loads((Path(__file__).with_name("mpmath_reference.json")).read_text())
 
 
 class TestLaguerre:
@@ -174,15 +190,16 @@ class TestAiryAgainstMpmath:
         assert ai.shape == aip.shape == (2, 3)
 
     def test_zeros_within_four_ulp(self):
-        from mpmath import mp
-        rng = np.random.default_rng(2718)
-        ns = np.concatenate([np.arange(1, 201),
-                             np.sort(rng.choice(np.arange(201, 10001), 60, replace=False)),
-                             [10000]])
-        with mp.workdps(30):
-            want = np.array([float(mp.airyaizero(int(n))) for n in ns])
+        ns = np.array(REFERENCE["airy_zeros"]["n"])
+        want = np.array(REFERENCE["airy_zeros"]["a_n"])
+        assert ns.tolist() == MPMATH_REFERENCE.zero_indices()
         got = airy_zero(ns)
         assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_zero_table_sample_equals_live_mpmath(self):
+        ns, want = REFERENCE["airy_zeros"]["n"], REFERENCE["airy_zeros"]["a_n"]
+        for i in np.random.default_rng(17).choice(len(ns), 5, replace=False):
+            assert MPMATH_REFERENCE.airy_zero_entry(ns[i]) == want[i]
 
     def test_zero_search_reports_no_convergence(self, monkeypatch):
         real = specfun.airy_ai
@@ -197,10 +214,7 @@ class TestAiryAgainstMpmath:
             airy_zero(np.array([1, 2]))
 
     def test_table_equals_generator_output(self):
-        path = Path(__file__).resolve().parents[1] / "tools" / "airy_table.py"
-        spec = importlib.util.spec_from_file_location("airy_table", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = _load_tool("airy_table")
         assert np.array_equal(specfun._AIRY_TABLE.ravel(), np.array(module.table()))
         assert np.array_equal(specfun._AIRY_NODES,
                               np.arange(len(specfun._AIRY_TABLE)) * module.STEP + module.X_LO)
@@ -298,16 +312,21 @@ class TestGaussHermite:
             assert np.array_equal(cached.nodes, fresh.nodes)
             assert np.array_equal(cached.weights, fresh.weights)
 
-    @pytest.mark.parametrize("n", [2, 12, 32, 64, 128, 256])
+    @pytest.mark.parametrize("n", MPMATH_REFERENCE.HERMITE_ORDERS)
     def test_against_mpmath(self, n):
-        from mpmath import mp   # the `test` extra; a test-only oracle
-        with mp.workdps(30):
-            x_ref, w_ref = mp.gauss_quadrature(n, "hermite")
-            x_ref = np.array([float(v) for v in x_ref])
-            w_ref = np.array([float(v) for v in w_ref])
+        x_ref = np.array(REFERENCE["gauss_hermite"][str(n)]["nodes"])
+        w_ref = np.array(REFERENCE["gauss_hermite"][str(n)]["weights"])
+        assert x_ref.shape == w_ref.shape == (n,)
         rule = gauss_hermite(n)
         assert np.all(np.abs(rule.nodes - x_ref) <= 1e-15 * np.maximum(1.0, np.abs(x_ref)))
         assert np.all(np.abs(rule.weights - w_ref) <= 2e-15 * n * w_ref)
+
+    @pytest.mark.parametrize("n", MPMATH_REFERENCE.HERMITE_ORDERS)
+    def test_table_sample_equals_live_mpmath(self, n):
+        ref = REFERENCE["gauss_hermite"][str(n)]
+        for k in np.random.default_rng(n).choice(n, min(n, 5), replace=False):
+            want = (ref["nodes"][k], ref["weights"][k])
+            assert MPMATH_REFERENCE.hermite_entry(n, ref["nodes"][k]) == want
 
     def test_weights_positive(self):
         rule = gauss_hermite(256)

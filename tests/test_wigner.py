@@ -135,6 +135,13 @@ class TestStationaryHO:
             for n2 in range(3):
                 want = p.hbar * (p.big_omega * (n1 + n2 + 1) + p.omega * (n1 - n2))
                 assert ho_energy(n1, n2, p) == want
+        # integer arrays broadcast and give the scalar calls' floats exactly
+        n1, n2 = np.divmod(np.arange(400), 20)
+        want = [ho_energy(a, b, p) for a, b in zip(n1.tolist(), n2.tolist())]
+        assert ho_energy(n1, n2, p).tolist() == want
+        assert ho_energy(n1[:, None], n2, p).shape == (400, 400)
+        with pytest.raises(ValueError):
+            ho_energy(n1, n2 - 1, p)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -173,6 +180,10 @@ class TestLandau:
         p = landau_params()
         for n in range(6):
             assert landau_energy(n, p) == p.hbar * p.omega * (2 * n + 1)
+        levels = np.arange(1000)
+        assert landau_energy(levels, p).tolist() == [landau_energy(n, p) for n in range(1000)]
+        with pytest.raises(ValueError):
+            landau_energy(levels - 1, p)
 
     def test_validation(self):
         with pytest.raises(ValueError):
