@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, measures, quadrature, wigner
-from .model import PhasePoint, SystemKind, SystemParams, TimeGrid
+from .model import NumericalError, PhasePoint, SystemKind, SystemParams, TimeGrid
 from .dynamics import evolve
 from .ncmap import (
     NCParams,
@@ -40,15 +40,15 @@ _ENTROPY_B0 = "0.1, 0.25, 0.5, 0.75, 1"
 _T_END_DEFAULT = 4.0 * math.pi
 # most output rows one run may ask for, checked before anything is allocated
 _ROW_BUDGET = 10 ** 6
-# most entropy box nodes per axis: 2048^2 = quadrature._CHUNK_LIMIT, one block per sector grid
-_ENTROPY_ORDER_LIMIT = 2048
+# most entropy box nodes per axis (2048): one quadrature block per sector grid
+_ENTROPY_ORDER_LIMIT = math.isqrt(quadrature._CHUNK_LIMIT)
 
 
 class ConfigError(Exception):
     """Malformed config input (unknown key, bad syntax, unreadable file)."""
 
 
-class NonFiniteCellError(ArithmeticError):
+class NonFiniteCellError(NumericalError):
     """A table cell came out as NaN or infinity."""
 
 
@@ -365,8 +365,7 @@ def _run_ncmap(ns):
         row["b0_effective"] = b_eff
         row["x_scale"] = shift.scale_x
         row["x_shear_from_py"] = shift.shear_x_from_py
-        mapped = shift.apply(_initial_point(ns))
-        row["x0_mapped"] = mapped.x
+        row["x0_mapped"] = shift.apply(_initial_point(ns)).x
     row["s_aux"] = auxiliary_s(ns.mu, ns.nu)
     row["sigma_invertible"] = sigma_invertible(nc, ns.hbar)
     initial = ("x0", "y0", "px0", "py0") if ns.system == "gqw" else ()
@@ -457,14 +456,15 @@ def main(argv=None) -> int:
         ns.gravity = 2.0 if ns.system in ("gqw", "gqw-b") else 0.0
 
     try:
-        table, config = _RUNNERS[ns.command](ns)
+        # numpy stays quiet here alone; the checks report each non-finite result
+        with np.errstate(all="ignore"):
+            table, config = _RUNNERS[ns.command](ns)
         config["format"] = ns.format
         text = _render(ns.format, ns.command, config, table)
     except ValueError as exc:
         print(f"error: E_RANGE: {exc}", file=sys.stderr)
         return 2
-    except (quadrature.NonFiniteIntegrandError, measures.WignerNegativityError,
-            wigner.TruncationError, NonFiniteCellError) as exc:
+    except NumericalError as exc:
         print(f"error: E_NUMERIC: {exc}", file=sys.stderr)
         return 3
 

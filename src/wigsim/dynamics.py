@@ -64,7 +64,6 @@ def _drift_shape(x):
     return np.where(small, xs * np.polyval(_DRIFT_SERIES, xs * xs), (xl - np.sin(xl)) / xl / xl)
 
 
-@np.errstate(over="ignore", invalid="ignore")   # callers check the cells are finite
 def flow_map(params: SystemParams, t):
     """The exact flow z(t) = M(t) z0 + b(t) of params, vectorized over t.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quadrature
 from .dynamics import _quadratic_map, _transport, evolve
-from .model import PhasePoint, SystemKind, SystemParams
+from .model import NumericalError, PhasePoint, SystemKind, SystemParams
 from .specfun import _unwrap_scalar
 from .wigner import Gaussian2D, LandauState, StationaryHOState
 
@@ -38,7 +38,7 @@ __all__ = [
 _NEGATIVITY_FLOOR = -1e-12
 
 
-class WignerNegativityError(RuntimeError):
+class WignerNegativityError(NumericalError):
     """A state passed to the overlap quadrature is genuinely negative."""
 
 
@@ -47,9 +47,8 @@ def fidelity_gaussian_closed(c0: PhasePoint, ct: PhasePoint):
 
     Accepts array-valued components in ct (or c0) and broadcasts.
     """
-    with np.errstate(over="ignore"):   # packets ~1e154 apart: F rounds to 0 either way
-        d = ct.as_array() - c0.as_array()
-        return _unwrap_scalar(np.exp(-0.5 * np.sum(d * d, axis=-1)))
+    d = ct.as_array() - c0.as_array()
+    return _unwrap_scalar(np.exp(-0.5 * np.sum(d * d, axis=-1)))
 
 
 def _checked_nonnegative(state, coords, label: str) -> np.ndarray:
@@ -102,11 +101,8 @@ def fidelity_ho_paper(omega, t, c0: PhasePoint):
     t = np.asarray(t, dtype=float)
     s_tot = c0.x ** 2 + c0.y ** 2 + c0.px ** 2 + c0.py ** 2
     j_tot = c0.py * c0.x - c0.px * c0.y
-    with np.errstate(over="ignore"):   # callers check the cells are finite
-        return _unwrap_scalar(np.exp(
-            s_tot * (np.cos(t) * np.cos(omega * t) - 1.0)
-            + 2.0 * j_tot * np.sin(t) * np.sin(omega * t)
-        ))
+    beat = np.cos(t) * np.cos(omega * t) - 1.0
+    return _unwrap_scalar(np.exp(s_tot * beat + 2.0 * j_tot * np.sin(t) * np.sin(omega * t)))
 
 
 @dataclass(frozen=True)

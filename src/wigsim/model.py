@@ -21,11 +21,16 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "NumericalError",
     "SystemKind",
     "PhasePoint",
     "TimeGrid",
     "SystemParams",
 ]
+
+
+class NumericalError(RuntimeError):
+    """A result that is not a usable number; the CLI reports it as E_NUMERIC."""
 
 
 class SystemKind(enum.Enum):

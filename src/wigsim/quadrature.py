@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .model import NumericalError
 from .specfun import _MAX_HERMITE_ORDER, gauss_hermite
 
 __all__ = [
@@ -31,8 +32,8 @@ __all__ = [
 _CHUNK_LIMIT = 2 ** 22
 
 
-class NonFiniteIntegrandError(RuntimeError):
-    """Integrand returned NaN or inf at a quadrature node."""
+class NonFiniteIntegrandError(NumericalError):
+    """Integrand, or its weighted sum, came out NaN or inf."""
 
 
 class SchemeKind(enum.Enum):
@@ -144,4 +145,6 @@ def integrate(f: Callable, dims: int, scheme: QuadratureScheme) -> float:
         for axis in range(dims - 1, -1, -1):
             vals = np.tensordot(vals, chunk[axis][1], axes=([axis], [0]))
         total += float(vals)
+    if not math.isfinite(total):
+        raise NonFiniteIntegrandError(f"weighted sum of the integrand not finite: {total}")
     return total

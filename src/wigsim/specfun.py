@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import NumericalError
+
 __all__ = [
     "laguerre",
     "airy_ai",
@@ -162,7 +164,7 @@ def airy_zero(n):
     and takes three Newton steps on the whole array; Newton converges
     cubically here because Ai'' = x Ai vanishes at a zero.  Measured against
     mpmath, zeros 1..200 and a sample up to 10^4 are within 2 ulp.  Raises
-    RuntimeError where Ai at the last iterate is not small against its slope.
+    NumericalError where Ai at the last iterate is not small against its slope.
     """
     idx = np.asarray(n)
     if idx.dtype.kind not in "iu" or np.any(idx < 1):
@@ -175,7 +177,7 @@ def airy_zero(n):
         z = z - f / fp
     bad = ~(np.abs(f) <= 1e-13 * np.abs(fp * z))   # Ai at the last iterate
     if np.any(bad):
-        raise RuntimeError(f"airy_zero Newton did not converge for n={idx[bad].tolist()}")
+        raise NumericalError(f"airy_zero Newton did not converge for n={idx[bad].tolist()}")
     return _unwrap_scalar(z)
 
 

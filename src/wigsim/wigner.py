@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import quadrature
-from .model import PhasePoint, SystemKind, SystemParams
+from .model import NumericalError, PhasePoint, SystemKind, SystemParams
 from .specfun import _unwrap_scalar, airy_ai, airy_zero, laguerre
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-class TruncationError(RuntimeError):
+class TruncationError(NumericalError):
     """Declared domain too small: the truncated integral has not converged."""
 
 
@@ -60,10 +60,8 @@ class HOSector:
     def value(self, a, b):
         da = np.asarray(a, dtype=float) - self.center[0]
         db = np.asarray(b, dtype=float) - self.center[1]
-        with np.errstate(over="ignore", invalid="ignore"):   # callers check the cells are finite
-            arg = (self.ratio * da * da + self.cross * da * db + db * db / self.ratio) / self.hbar
-            out = self.norm * np.exp(-arg) / (math.pi * self.hbar)
-        return _unwrap_scalar(out)
+        arg = (self.ratio * da * da + self.cross * da * db + db * db / self.ratio) / self.hbar
+        return _unwrap_scalar(self.norm * np.exp(-arg) / (math.pi * self.hbar))
 
 
 class Gaussian2D(HOSector):
@@ -160,7 +158,6 @@ class StationaryHOState(ProductState):
         return (sector, (0, 2)), (sector, (1, 3))
 
 
-@np.errstate(over="ignore", invalid="ignore")   # callers check the energies are finite
 def ho_energy(n1, n2, params: SystemParams):
     """E_{n1,n2} = hbar [big_omega (n1 + n2 + 1) + omega (n1 - n2)], also
     over integer arrays n1, n2 that broadcast."""
@@ -206,7 +203,6 @@ class LandauState(ProductState):
                 (HOSector(ratio, p.hbar, cross=2.0), (1, 2)))
 
 
-@np.errstate(over="ignore")   # callers check the energies are finite
 def landau_energy(n, params: SystemParams):
     """E_n = hbar omega (2n + 1), for a level index or an integer array of them."""
     if np.any(np.asarray(n) < 0):
@@ -228,8 +224,7 @@ class GQWYSector:
 
     def value_xi(self, xi):
         s = self._s
-        out = s.norm * airy_ai(s.alpha * (np.asarray(xi, dtype=float) - s.energy))
-        return _unwrap_scalar(out)
+        return _unwrap_scalar(s.norm * airy_ai(s.alpha * (np.asarray(xi, dtype=float) - s.energy)))
 
     def value(self, y, py):
         s = self._s

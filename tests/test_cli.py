@@ -1,20 +1,26 @@
 """Command-line interface: parsing, precedence, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wigsim.cli as cli
 from wigsim.dynamics import evolve
-from wigsim.measures import entropy_vs_field
-from wigsim.model import PhasePoint, SystemKind, SystemParams
+from wigsim.measures import WignerNegativityError, entropy_vs_field
+from wigsim.model import NumericalError, PhasePoint, SystemKind, SystemParams
+from wigsim.quadrature import NonFiniteIntegrandError
 from wigsim.wigner import TruncationError
 
 
@@ -273,14 +279,21 @@ def test_version_exits_zero(capsys):
     assert "wigsim" in out
 
 
-def test_numeric_failure_exits_three(capsys, monkeypatch):
+@pytest.mark.parametrize("error", [NonFiniteIntegrandError, WignerNegativityError,
+                                   TruncationError, cli.NonFiniteCellError],
+                         ids=lambda error: error.__name__)
+def test_numeric_failure_exits_three(capsys, monkeypatch, error):
+    # main catches NumericalError alone, so each subclass must reach that clause
+    assert issubclass(error, NumericalError)
+
     def boom(ns):
-        raise TruncationError("domain too small")
+        raise error("no usable number")
 
     monkeypatch.setitem(cli._RUNNERS, "spectrum", boom)
-    code, _, err = run_cli(capsys, "spectrum", "--system", "gqw")
+    code, out, err = run_cli(capsys, "spectrum", "--system", "gqw")
     assert code == 3
-    assert "E_NUMERIC" in err
+    assert err == "error: E_NUMERIC: no usable number\n"
+    assert out == ""
 
 
 def test_ncmap_effective_field(capsys):
@@ -413,6 +426,18 @@ _NCMAP_AUX = [
     ("ncmap", "--mu", "1e-160", "--nu", "1e-160"),
 ]
 _NCMAP_EXTREMES = _NCMAP_CRASHES + _NCMAP_SIGMAS
+_GQW_B_FAR_TRAJECTORY = ("trajectory", "--system", "gqw-b", "--py0", "2.3795913578656037e+252",
+                         "--t-end", "1.5894355803611187e+221", "--t-steps", "2")
+_OVERFLOWING_BOX_SUMS = [
+    ("entropy", "--system", "both", "--quad-order", "5", "--box-half-width", "1e200"),
+    # the box mass overflows; it is not "no mass on the box"
+    ("entropy", "--system", "both", "--quad-order", "5",
+     "--box-half-width", "1.2396332297873528e+191", "--entropy-convention", "normalized"),
+    ("entropy", "--system", "both", "--mass", "2.593340215947858e+191", "--quad-order", "7",
+     "--box-half-width", "4.9685682345914844e+215"),
+]
+_OVERFLOWING_BOX_SUM_IDS = ["entropy-box-1e200", "entropy-normalized-box-1.2e191",
+                            "entropy-heavy-box-5e215"]
 _NCMAP_EXTREME_IDS = ["ncmap-ho-heavy", "ncmap-gqw-tiny-nu-hbar", "ncmap-ho-tiny-q-hbar",
                       "ncmap-free-tiny-q-hbar", "ncmap-free-tiny-hbar", "ncmap-ho-tiny-theta-eta"]
 
@@ -435,10 +460,17 @@ _NCMAP_EXTREME_IDS = ["ncmap-ho-heavy", "ncmap-gqw-tiny-nu-hbar", "ncmap-ho-tiny
      "--quad-order", "4"),
     *_NCMAP_EXTREMES,
     *_NCMAP_AUX,
+    # M z0 + b is inf - inf in y
+    _GQW_B_FAR_TRAJECTORY,
+    ("fidelity", "--system", "gqw", "--b0", "0", "--py0", "1e9", "--t-end", "1e300",
+     "--t-steps", "2", "--quad-order", "1"),
+    # box weights whose weighted sums overflow, though every node value is finite
+    *_OVERFLOWING_BOX_SUMS,
 ], ids=["fidelity-x0-1e200", "fidelity-mass-1e-300", "entropy-mass-1e300",
         "entropy-free-b0-1e-300", "entropy-hbar-1e-300", "fidelity-free-far",
         "fidelity-gqw-b-far", "fidelity-ho-heavy", *_NCMAP_EXTREME_IDS,
-        "ncmap-aux-mu-nu-1e-200", "ncmap-aux-mu-nu-1e-160"])
+        "ncmap-aux-mu-nu-1e-200", "ncmap-aux-mu-nu-1e-160", "trajectory-gqw-b-far",
+        "fidelity-gqw-far", *_OVERFLOWING_BOX_SUM_IDS])
 def test_extreme_parameters_leave_at_most_one_error_line(capsys, argv):
     # warnings are errors here, so a numpy RuntimeWarning fails the case
     code, out, err = run_cli(capsys, *argv)
@@ -450,6 +482,91 @@ def test_extreme_parameters_leave_at_most_one_error_line(capsys, argv):
         assert out == ""
     # mu and nu are both positive, so the error must not say otherwise
     assert "must be positive" not in err
+
+
+# every float flag log-uniform on [1e-300, 1e300], signed where a negative value is valid
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_POSITIVE = _MAGNITUDE.map(repr)
+_SIGNED = st.tuples(st.sampled_from([1.0, -1.0]), _MAGNITUDE).map(lambda sv: repr(sv[0] * sv[1]))
+_B0 = {"b0": st.lists(st.one_of(st.just(0.0), _MAGNITUDE), min_size=1, max_size=3)
+       .map(lambda b0: ",".join(map(repr, b0)))}
+_PHYSICS = {"mass": _POSITIVE, "hbar": _POSITIVE, "charge": _POSITIVE}
+_INITIAL = {name: _SIGNED for name in ("x0", "y0", "px0", "py0")}
+_TIMES = {"t-start": _SIGNED, "t-end": _SIGNED, "t-steps": st.integers(2, 4).map(str)}
+# each subcommand's systems and flags, with small step counts and orders
+_SIZES = {"t-steps", "quad-order", "n-max"}
+_COMMANDS = {
+    "fidelity": (["ho", "free", "gqw", "gqw-b"], {
+        **_B0, **_PHYSICS, **_INITIAL, **_TIMES, "quad-order": st.integers(1, 6).map(str),
+        "fidelity-form": st.sampled_from(["consistent", "paper"])}),
+    "trajectory": (["ho", "free", "gqw", "gqw-b"], {**_B0, **_PHYSICS, **_INITIAL, **_TIMES}),
+    "entropy": (["ho", "free", "both"], {
+        **_B0, **_PHYSICS, "quad-order": st.integers(3, 9).map(str),
+        "box-half-width": _POSITIVE,
+        "entropy-convention": st.sampled_from(["raw", "normalized"])}),
+    "spectrum": (["ho", "free", "gqw", "gqw-b"], {
+        **_B0, **_PHYSICS, "n-max": st.integers(1, 6).map(str)}),
+    "ncmap": (["ho", "free", "gqw"], {
+        "theta": _POSITIVE, "eta": _POSITIVE, "mu": _POSITIVE, "nu": _POSITIVE,
+        **_PHYSICS, **_INITIAL}),
+}
+# a trap or gravity only where the system has one: elsewhere it is a range
+# error before any arithmetic
+_SYSTEM_FLAGS = {"ho": {"omega0": _POSITIVE}, "both": {"omega0": _POSITIVE}, "free": {},
+                 "gqw": {"gravity": _POSITIVE}, "gqw-b": {"gravity": _POSITIVE}}
+
+
+def _run_argv(command: str, system: str):
+    """Runs of one subcommand and system: the sizes always set, each other flag
+    absent or set, as --flag=value so that a negative value is not read as a flag."""
+    flags = {**_COMMANDS[command][1], **_SYSTEM_FLAGS[system]}
+    fixed = [command, f"--system={system}"]
+    if system == "gqw" and "b0" in flags:
+        del flags["b0"]
+        fixed.append("--b0=0")   # the only field gqw takes
+    parts = [st.just(fixed), st.sampled_from([["--format=csv"], ["--format=json"]])]
+    for name, values in flags.items():
+        flag = values.map(lambda value, name=name: [f"--{name}={value}"])
+        parts.append(flag if name in _SIZES else st.one_of(st.just([]), flag))
+    return st.tuples(*parts).map(lambda tokens: [t for part in tokens for t in part])
+
+
+_CLI_ARGV = st.one_of(*(_run_argv(command, system)
+                        for command, (systems, _) in _COMMANDS.items() for system in systems))
+
+
+def _data_cells(out: str, fmt: str) -> list:
+    if fmt == "json":
+        return [cell for row in json.loads(out)["rows"] for cell in row.values()]
+    _, _, rows = parse_csv(out)
+    return [cell for row in rows for cell in row.values()]
+
+
+def _is_non_finite(cell) -> bool:
+    try:
+        return not math.isfinite(float(cell))
+    except ValueError:   # a text cell
+        return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_CLI_ARGV)
+def test_any_run_prints_finite_cells_or_one_error_line(argv):
+    # warnings are errors in the run, so a numpy RuntimeWarning fails the example
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+        cells = _data_cells(out, "json" if "--format=json" in argv else "csv")
+        assert not any(map(_is_non_finite, cells))
+    else:
+        assert err.startswith("error: E_") and err.count("\n") == 1
+        assert out == ""
 
 
 @pytest.mark.parametrize("argv", _NCMAP_CRASHES, ids=_NCMAP_EXTREME_IDS[:4])
@@ -498,9 +615,10 @@ def test_unused_omega0_or_gravity_is_range_error(capsys, argv):
     # the ridge's norm and divisor pi hbar both overflow, and inf/inf is nan
     ("entropy", "--system", "free", "--hbar", "1.7e308"),
     ("entropy", "--hbar", "6e307", "--b0", "0.5"),
+    *_OVERFLOWING_BOX_SUMS,
 ], ids=["spectrum-ho-inf-energy", "trajectory-gqw-inf-drop", "fidelity-paper-exp-overflow",
         "entropy-free-ridge-exp-overflow", "entropy-free-ridge-hbar-1.7e308",
-        "entropy-ridge-hbar-6e307"])
+        "entropy-ridge-hbar-6e307", *_OVERFLOWING_BOX_SUM_IDS])
 def test_non_finite_cell_is_numeric_error(capsys, argv, fmt):
     # warnings are errors here: an exp that overflows to inf must not warn first
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
@@ -509,14 +627,21 @@ def test_non_finite_cell_is_numeric_error(capsys, argv, fmt):
     assert out == ""
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_flow_overflow_writes_only_the_error_line(fmt):
+_GQW_INF_DROP = ("trajectory", "--system", "gqw", "--b0", "0", "--gravity", "1e308",
+                 "--t-steps", "3")
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    (_GQW_INF_DROP, "csv"),
+    (_GQW_INF_DROP, "json"),
+    (_GQW_B_FAR_TRAJECTORY, "csv"),
+], ids=["csv", "json", "gqw-b-far"])
+def test_flow_overflow_writes_only_the_error_line(argv, fmt):
     # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
     # (pytest captures them in-process)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "wigsim.cli", "trajectory", "--system", "gqw", "--b0", "0",
-         "--gravity", "1e308", "--t-steps", "3", "--format", fmt],
+        [sys.executable, "-m", "wigsim.cli", *argv, "--format", fmt],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 3
     assert proc.stdout == ""

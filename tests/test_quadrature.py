@@ -111,6 +111,15 @@ def test_nonfinite_integrand_reports_node():
     assert "0.7" in str(err.value)
 
 
+def test_overflowing_weighted_sum_is_not_finite():
+    # every node value is finite, but the box weights are ~8e199 and the sum
+    # overflows; the library keeps numpy's default warning on the way
+    sch = box_scheme((5, 5), [(-1e200, 1e200)] * 2)
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(NonFiniteIntegrandError, match="weighted sum .* not finite: inf"):
+        integrate(lambda x, y: np.ones(np.broadcast(x, y).shape), 2, sch)
+
+
 def test_chunked_matches_unchunked(monkeypatch):
     sch = hermite_scheme((40, 40))
     whole = integrate(gauss2, 2, sch)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wigsim import specfun
+from wigsim.model import NumericalError
 from wigsim.specfun import (
     _build_gauss_hermite,
     airy_ai,
@@ -210,7 +211,7 @@ class TestAiryAgainstMpmath:
             return (ai + 1.0, aip) if prime else ai + 1.0
 
         monkeypatch.setattr(specfun, "airy_ai", shifted)
-        with pytest.raises(RuntimeError, match=r"n=\[1, 2\]"):
+        with pytest.raises(NumericalError, match=r"n=\[1, 2\]"):
             airy_zero(np.array([1, 2]))
 
     def test_table_equals_generator_output(self):
