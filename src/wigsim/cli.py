@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -35,8 +36,10 @@ from .ncmap import (
 __all__ = ["main", "build_parser"]
 
 _EPS_NOTE = "eps12=+1; cross term omega*(px*y - py*x)"
+_FLOW_NOTES = {"epsilon_convention": _EPS_NOTE, "time_variable": "tau"}
 _DEFAULT_B0 = "0, 0.1, 0.5, 1"
-_ENTROPY_B0 = "0.1, 0.25, 0.5, 0.75, 1"
+_INITIAL_FLAGS = ("x0", "y0", "px0", "py0")
+_INITIAL_DEFAULT = 1.0
 _T_END_DEFAULT = 4.0 * math.pi
 # most output rows one run may ask for, checked before anything is allocated
 _ROW_BUDGET = 10 ** 6
@@ -85,10 +88,8 @@ def _add_physics_flags(p):
 
 
 def _add_initial_flags(p):
-    p.add_argument("--x0", type=float, default=1.0)
-    p.add_argument("--y0", type=float, default=1.0)
-    p.add_argument("--px0", type=float, default=1.0)
-    p.add_argument("--py0", type=float, default=1.0)
+    for name in _INITIAL_FLAGS:
+        p.add_argument(f"--{name}", type=float, default=_INITIAL_DEFAULT)
 
 
 def _add_time_flags(p):
@@ -108,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fidelity", help="Gaussian fidelity F(tau) per field value")
     p.add_argument("--system", choices=("ho", "free", "gqw", "gqw-b"), default="ho")
-    p.add_argument("--b0", type=_float_list, default=None, metavar="LIST",
-                   help=f"comma-separated field strengths (default: {_DEFAULT_B0})")
+    p.add_argument("--b0", type=_float_list, default=_DEFAULT_B0, metavar="LIST",
+                   help="comma-separated field strengths (default: %(default)s)")
     _add_physics_flags(p)
     _add_initial_flags(p)
     _add_time_flags(p)
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectory", help="closed-form phase-space trajectory samples")
     p.add_argument("--system", choices=("ho", "free", "gqw", "gqw-b"), default="ho")
-    p.add_argument("--b0", type=_float_list, default=None, metavar="LIST")
+    p.add_argument("--b0", type=_float_list, default=_DEFAULT_B0, metavar="LIST")
     _add_physics_flags(p)
     _add_initial_flags(p)
     _add_time_flags(p)
@@ -130,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="ground-state box entropy vs field strength")
     p.add_argument("--system", choices=("ho", "free", "both"), default="both")
-    p.add_argument("--b0", type=_float_list, default=None, metavar="LIST",
-                   help=f"field strengths (default: {_ENTROPY_B0}; 0 is invalid for free)")
+    p.add_argument("--b0", type=_float_list, default="0.1, 0.25, 0.5, 0.75, 1", metavar="LIST",
+                   help="field strengths (default: %(default)s; 0 is invalid for free)")
     _add_physics_flags(p)
     p.add_argument("--quad-order", type=int, default=101,
                    help="box nodes per axis (midpoint rule)")
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="energy level tables")
     p.add_argument("--system", choices=("ho", "free", "gqw", "gqw-b"), default="ho")
-    p.add_argument("--b0", type=_float_list, default=None, metavar="LIST",
+    p.add_argument("--b0", type=_float_list, default=_DEFAULT_B0, metavar="LIST",
                    help="field strengths (ho/free tables; unused for gqw)")
     _add_physics_flags(p)
     p.add_argument("--n-max", type=int, default=5, help="largest quantum number")
@@ -228,21 +229,20 @@ def _initial_point(ns) -> PhasePoint:
     return c0
 
 
-_PHYSICS_KEYS = ("mass", "hbar", "charge", "omega0")
-_FLOW_KEYS = ("x0", "y0", "px0", "py0", "t_start", "t_end", "t_steps")
+_OUTPUT_FLAGS = ("command", "config", "format", "out")
 
 
-def _config(command: str, ns, keys, **values) -> dict:
-    """Header config of a run: command and version, then each key in order.
-
-    A key's value comes from values, else from the fixed notes here, else
-    from the flag of the same name.
+def _config(ns, unused=(), **values) -> dict:
+    """Header config of a run: command and version; then the subcommand's
+    flags in the order build_parser declares them, less the output flags and
+    the ones the run does not use, each at its resolved value in values if
+    there is one; then the other values, notes on the run; then the format.
     """
-    values = {"epsilon_convention": _EPS_NOTE, "time_variable": "tau", **values}
-    cfg = {"command": command, "wigsim_version": __version__}
-    for key in keys:
-        cfg[key] = values[key] if key in values else getattr(ns, key)
-    return cfg
+    cfg = {"command": ns.command, "wigsim_version": __version__}
+    for key, value in vars(ns).items():
+        if key not in _OUTPUT_FLAGS and key not in unused:
+            cfg[key] = values.pop(key, value)
+    return {**cfg, **values, "format": ns.format}
 
 
 def _check_rows(n_rows: int) -> None:
@@ -253,17 +253,16 @@ def _check_rows(n_rows: int) -> None:
 def _flow_sweep(ns):
     """The parameters of every b0, all built before any work, the initial
     point, the sample times and the (b0, tau) columns, b0 slowest."""
-    b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
-    params = [_make_params(ns, b0) for b0 in b0_list]
+    params = [_make_params(ns, b0) for b0 in ns.b0]
     c0 = _initial_point(ns)
-    _check_rows(ns.t_steps * len(b0_list))
+    _check_rows(ns.t_steps * len(ns.b0))
     times = TimeGrid(ns.t_start, ns.t_end, ns.t_steps).times()
-    table = {"b0": np.repeat(b0_list, len(times)), "tau": np.tile(times, len(b0_list))}
-    return b0_list, params, c0, times, table
+    table = {"b0": np.repeat(ns.b0, len(times)), "tau": np.tile(times, len(ns.b0))}
+    return params, c0, times, table
 
 
 def _run_fidelity(ns):
-    b0_list, params, c0, times, table = _flow_sweep(ns)
+    params, c0, times, table = _flow_sweep(ns)
     if ns.quad_order < 1:
         raise ValueError("quad-order must be positive")
     curves = [measures.fidelity_curve(p, c0, times, order=ns.quad_order, form=ns.fidelity_form)
@@ -276,25 +275,18 @@ def _run_fidelity(ns):
         table["f_paper"] = np.concatenate([c.paper for c in curves])
     table["abs_diff"] = np.concatenate([c.abs_diff for c in curves])
 
-    cfg = _config("fidelity", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", *_FLOW_KEYS,
-                                   "quad_order", "fidelity_form", "epsilon_convention",
-                                   "time_variable"), b0=b0_list)
-    if has_paper:
-        cfg["f_paper_note"] = "printed omega0=1 family (unit-weight rotation)"
-    return table, cfg
+    paper_note = {"f_paper_note": "printed omega0=1 family (unit-weight rotation)"}
+    return table, _config(ns, **_FLOW_NOTES, **(paper_note if has_paper else {}))
 
 
 def _run_trajectory(ns):
-    b0_list, params, c0, times, table = _flow_sweep(ns)
+    params, c0, times, table = _flow_sweep(ns)
     points = np.concatenate([evolve(p, c0, times).as_array() for p in params])
     table.update(zip(("x", "y", "px", "py"), points.T))
-    cfg = _config("trajectory", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", *_FLOW_KEYS,
-                                     "epsilon_convention", "time_variable"), b0=b0_list)
-    return table, cfg
+    return table, _config(ns, **_FLOW_NOTES)
 
 
 def _run_entropy(ns):
-    b0_list = ns.b0 if ns.b0 is not None else _float_list(_ENTROPY_B0)
     if ns.gravity != 0:
         raise ValueError("gravity does not apply to the entropy sweep systems")
     if ns.system == "free" and ns.omega0 != 0:
@@ -307,32 +299,28 @@ def _run_entropy(ns):
     systems = ["ho", "free"] if ns.system == "both" else [ns.system]
     params = [SystemParams(kind=_KINDS[name], mass=ns.mass, hbar=ns.hbar, charge=ns.charge,
                            b0=b0, omega0=ns.omega0 if name == "ho" else 0.0)
-              for name in systems for b0 in b0_list]
+              for name in systems for b0 in ns.b0]
     values = measures.entropy_vs_field(params, box_half_width=ns.box_half_width,
                                        nodes_per_axis=ns.quad_order, convention=convention)
-    table = {"system": np.repeat(systems, len(b0_list)), "b0": b0_list * len(systems),
+    table = {"system": np.repeat(systems, len(ns.b0)), "b0": ns.b0 * len(systems),
              "entropy": values, "convention": [ns.entropy_convention] * len(params)}
-    cfg = _config("entropy", ns, ("system", "b0", *_PHYSICS_KEYS, "quad_order",
-                                  "box_half_width", "entropy_convention", "epsilon_convention"),
-                  b0=b0_list)
-    return table, cfg
+    return table, _config(ns, unused=("gravity",), epsilon_convention=_EPS_NOTE)
 
 
 def _run_spectrum(ns):
     if ns.n_max < 0:
         raise ValueError("n-max must be nonnegative")
-    b0_list = ns.b0 if ns.b0 is not None else _float_list(_DEFAULT_B0)
     n_levels = ns.n_max + 1
     if ns.system == "ho":
-        params = [_make_params(ns, b0) for b0 in b0_list]
-        _check_rows(n_levels ** 2 * len(b0_list))
+        b0_used = ns.b0
+        params = [_make_params(ns, b0) for b0 in b0_used]
+        _check_rows(n_levels ** 2 * len(b0_used))
         n1, n2 = np.divmod(np.arange(n_levels ** 2), n_levels)
-        table = {"b0": np.repeat(b0_list, n_levels ** 2), "n1": np.tile(n1, len(b0_list)),
-                 "n2": np.tile(n2, len(b0_list)),
+        table = {"b0": np.repeat(b0_used, n_levels ** 2), "n1": np.tile(n1, len(b0_used)),
+                 "n2": np.tile(n2, len(b0_used)),
                  "energy": np.concatenate([wigner.ho_energy(n1, n2, p) for p in params])}
-        b0_used = b0_list
     elif ns.system == "free":
-        b0_used = [b0 for b0 in b0_list if b0 > 0]
+        b0_used = [b0 for b0 in ns.b0 if b0 > 0]
         if not b0_used:
             raise ValueError("the Landau ladder needs at least one positive b0")
         params = [_make_params(ns, b0) for b0 in b0_used]
@@ -348,11 +336,13 @@ def _run_spectrum(ns):
         n_y = np.arange(1, ns.n_max + 1)
         table = {"n_y": n_y, "energy": wigner.gqw_energy(n_y, _make_params(ns, 0.0))}
         b0_used = []
-    cfg = _config("spectrum", ns, ("system", "b0", *_PHYSICS_KEYS, "gravity", "n_max"), b0=b0_used)
-    return table, cfg
+    return table, _config(ns, b0=b0_used)
 
 
 def _run_ncmap(ns):
+    unused = () if ns.system == "gqw" else _INITIAL_FLAGS
+    if any(getattr(ns, key) != _INITIAL_DEFAULT for key in unused):
+        raise ValueError("--x0 --y0 --px0 --py0 apply to the gqw map only")
     nc = NCParams(theta=ns.theta, eta=ns.eta, mu=ns.mu, nu=ns.nu)
     params = _make_params(ns, 0.0)
     row = {"map": ns.system, "theta": ns.theta, "eta": ns.eta, "mu": ns.mu, "nu": ns.nu}
@@ -368,10 +358,7 @@ def _run_ncmap(ns):
         row["x0_mapped"] = shift.apply(_initial_point(ns)).x
     row["s_aux"] = auxiliary_s(ns.mu, ns.nu)
     row["sigma_invertible"] = sigma_invertible(nc, ns.hbar)
-    initial = ("x0", "y0", "px0", "py0") if ns.system == "gqw" else ()
-    cfg = _config("ncmap", ns, ("system", "theta", "eta", "mu", "nu", *_PHYSICS_KEYS,
-                                "gravity", *initial))
-    return {key: [value] for key, value in row.items()}, cfg
+    return {key: [value] for key, value in row.items()}, _config(ns, unused)
 
 
 _RUNNERS = {
@@ -434,9 +421,13 @@ def _render(fmt: str, command: str, config: dict, table: dict) -> str:
     return f'{head[:-2]},\n  "rows": {body}\n}}\n'
 
 
+# one parser per process, built on the first run rather than at import
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         ns = parser.parse_args(argv)
         if ns.config is not None:
@@ -459,7 +450,6 @@ def main(argv=None) -> int:
         # numpy stays quiet here alone; the checks report each non-finite result
         with np.errstate(all="ignore"):
             table, config = _RUNNERS[ns.command](ns)
-        config["format"] = ns.format
         text = _render(ns.format, ns.command, config, table)
     except ValueError as exc:
         print(f"error: E_RANGE: {exc}", file=sys.stderr)

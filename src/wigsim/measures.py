@@ -140,10 +140,13 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     # the closed and printed forms square the center coordinates: below 2^510, |c0|^2 is finite
     if not np.all(np.abs(c0.as_array()) < 2.0 ** 510):
         raise ValueError("initial point out of range: |c0|^2 overflows")
+    centers = ct.as_array()
+    if not np.isfinite(centers).all():
+        raise NumericalError("evolved center is not finite: the flow overflows")
     closed = fidelity_gaussian_closed(c0, ct)
     z0 = c0.as_array()
     quad = np.ones_like(times)
-    for i, zt in enumerate(ct.as_array()):
+    for i, zt in enumerate(centers):
         for axes in ([0, 2], [1, 3]):     # the (x, px) and (y, py) sectors
             # unit scales at the midpoint: the rule is exact for two unit Gaussians
             scheme = quadrature.hermite_scheme((order, order), centers=0.5 * (z0[axes] + zt[axes]))

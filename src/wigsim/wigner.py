@@ -261,9 +261,10 @@ class GQWState(ProductState):
             raise ValueError("GQWState requires g > 0")
         self.n_y = int(n_y)
         self.params = params
-        m, g, hbar = params.mass, params.g, params.hbar
-        self.alpha = (8.0 / (m * g * g * hbar * hbar)) ** (1.0 / 3.0)
+        m, g = params.mass, params.g
         self.energy = gqw_energy(n_y, params)
+        # (8 / (m g^2 hbar^2))^(1/3), from the scale gqw_energy has checked
+        self.alpha = 2.0 ** (2.0 / 3.0) / _gqw_scale(params)
         turning = self.energy / (m * g)
         width = 1.0 / (self.alpha * m * g)
         self.y_max = 3.0 * self.energy / (m * g) if y_max is None else float(y_max)
@@ -278,6 +279,13 @@ class GQWState(ProductState):
         return self._sectors
 
 
+def _gqw_scale(params: SystemParams) -> float:
+    """The gravitational energy scale (m g^2 hbar^2 / 2)^(1/3)."""
+    m, g, hbar = params.mass, params.g, params.hbar
+    # as (m/2)^(1/3) g^(2/3) hbar^(2/3): m g^2 hbar^2 itself under- or overflows first
+    return (m / 2.0) ** (1.0 / 3.0) * g ** (2.0 / 3.0) * hbar ** (2.0 / 3.0)
+
+
 def gqw_energy(n_y, params: SystemParams):
     """E_{n_y} = -(m g^2 hbar^2 / 2)^{1/3} lambda_{n_y} (positive).
 
@@ -287,9 +295,7 @@ def gqw_energy(n_y, params: SystemParams):
         raise ValueError("gravitational level index starts at 1")
     if not params.g > 0:
         raise ValueError("gravitational spectrum requires g > 0")
-    m, g, hbar = params.mass, params.g, params.hbar
-    # as (m/2)^(1/3) g^(2/3) hbar^(2/3): m g^2 hbar^2 itself under- or overflows first
-    scale = (m / 2.0) ** (1.0 / 3.0) * g ** (2.0 / 3.0) * hbar ** (2.0 / 3.0)
+    scale = _gqw_scale(params)
     zeros = airy_zero(n_y)
     if not (sys.float_info.min <= scale and scale * float(np.max(-zeros)) < math.inf):
         raise ValueError("gravitational energy scale (m g^2 hbar^2 / 2)^(1/3) or the "

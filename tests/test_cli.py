@@ -1,5 +1,6 @@
 """Command-line interface: parsing, precedence, formats, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -428,6 +429,9 @@ _NCMAP_AUX = [
 _NCMAP_EXTREMES = _NCMAP_CRASHES + _NCMAP_SIGMAS
 _GQW_B_FAR_TRAJECTORY = ("trajectory", "--system", "gqw-b", "--py0", "2.3795913578656037e+252",
                          "--t-end", "1.5894355803611187e+221", "--t-steps", "2")
+# M z0 + b is inf - inf in y: the evolved center is not finite
+_GQW_FAR_FIDELITY = ("fidelity", "--system", "gqw", "--b0", "0", "--py0", "1e9", "--t-end", "1e300",
+                     "--t-steps", "2", "--quad-order", "1")
 _OVERFLOWING_BOX_SUMS = [
     ("entropy", "--system", "both", "--quad-order", "5", "--box-half-width", "1e200"),
     # the box mass overflows; it is not "no mass on the box"
@@ -462,8 +466,7 @@ _NCMAP_EXTREME_IDS = ["ncmap-ho-heavy", "ncmap-gqw-tiny-nu-hbar", "ncmap-ho-tiny
     *_NCMAP_AUX,
     # M z0 + b is inf - inf in y
     _GQW_B_FAR_TRAJECTORY,
-    ("fidelity", "--system", "gqw", "--b0", "0", "--py0", "1e9", "--t-end", "1e300",
-     "--t-steps", "2", "--quad-order", "1"),
+    _GQW_FAR_FIDELITY,
     # box weights whose weighted sums overflow, though every node value is finite
     *_OVERFLOWING_BOX_SUMS,
 ], ids=["fidelity-x0-1e200", "fidelity-mass-1e-300", "entropy-mass-1e300",
@@ -596,8 +599,11 @@ def test_sigma_invertible_when_a_product_underflows(capsys, argv):
     ("spectrum", "--system", "gqw", "--omega0", "3"),
     ("spectrum", "--system", "ho", "--gravity", "5"),
     ("spectrum", "--system", "free", "--gravity", "5"),
+    # the initial point moves only the gqw map's x0
+    ("ncmap", "--system", "ho", "--x0", "5"),
+    ("ncmap", "--system", "free", "--py0", "3"),
 ], ids=["ncmap-ho-gravity", "ncmap-free-omega0", "ncmap-gqw-omega0", "spectrum-gqw-omega0",
-        "spectrum-ho-gravity", "spectrum-free-gravity"])
+        "spectrum-ho-gravity", "spectrum-free-gravity", "ncmap-ho-x0", "ncmap-free-py0"])
 def test_unused_omega0_or_gravity_is_range_error(capsys, argv):
     # the header would record a value the run does not use
     code, out, err = run_cli(capsys, *argv)
@@ -616,9 +622,10 @@ def test_unused_omega0_or_gravity_is_range_error(capsys, argv):
     ("entropy", "--system", "free", "--hbar", "1.7e308"),
     ("entropy", "--hbar", "6e307", "--b0", "0.5"),
     *_OVERFLOWING_BOX_SUMS,
+    _GQW_FAR_FIDELITY,
 ], ids=["spectrum-ho-inf-energy", "trajectory-gqw-inf-drop", "fidelity-paper-exp-overflow",
         "entropy-free-ridge-exp-overflow", "entropy-free-ridge-hbar-1.7e308",
-        "entropy-ridge-hbar-6e307", *_OVERFLOWING_BOX_SUM_IDS])
+        "entropy-ridge-hbar-6e307", *_OVERFLOWING_BOX_SUM_IDS, "fidelity-gqw-flow-overflow"])
 def test_non_finite_cell_is_numeric_error(capsys, argv, fmt):
     # warnings are errors here: an exp that overflows to inf must not warn first
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
@@ -747,23 +754,61 @@ def test_metadata_header_lists_convention(capsys):
 
 # header keys that describe the run but are not flags
 _NOT_FLAGS = {"command", "wigsim_version", "epsilon_convention", "time_variable", "f_paper_note"}
+_FLOW_NOTES = ["epsilon_convention", "time_variable"]
+_NOTES = {"fidelity": _FLOW_NOTES, "trajectory": _FLOW_NOTES, "entropy": ["epsilon_convention"],
+          "spectrum": [], "ncmap": []}
+# flags a run does not use, which its header leaves out
+_INITIAL_DESTS = {"x0", "y0", "px0", "py0"}
+_UNUSED = {("entropy", system): {"gravity"} for system in ("ho", "free", "both")}
+_UNUSED.update({("ncmap", "ho"): _INITIAL_DESTS, ("ncmap", "free"): _INITIAL_DESTS})
 
 
-@pytest.mark.parametrize("argv", [
-    ("fidelity", "--system", "ho", "--b0", "0.5", "--quad-order", "4", "--t-steps", "5"),
-    ("trajectory", "--system", "gqw-b", "--b0", "0, 0.3", "--t-steps", "7"),
-    ("entropy", "--system", "both", "--b0", "0.5", "--quad-order", "5"),
-    ("spectrum", "--system", "gqw", "--n-max", "2"),
-    ("ncmap", "--system", "gqw", "--theta", "0.1", "--eta", "0.2"),
-    pytest.param(("ncmap", "--system", "gqw", "--x0", "2"), id="ncmap-gqw-x0"),
-], ids=lambda argv: argv[0])
+def _declared_flags(command: str) -> list:
+    """The subcommand's flags in the order build_parser declares them."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [action.dest for action in sub.choices[command]._actions if action.dest != "help"]
+
+
+def _header_runs():
+    """Every subcommand and system: the earlier cases, then each other pair at
+    its defaults (gqw flows take only b0 = 0)."""
+    runs = [
+        ("fidelity", "--system", "ho", "--b0", "0.5", "--quad-order", "4", "--t-steps", "5"),
+        ("trajectory", "--system", "gqw-b", "--b0", "0, 0.3", "--t-steps", "7"),
+        ("entropy", "--system", "both", "--b0", "0.5", "--quad-order", "5"),
+        ("spectrum", "--system", "gqw", "--n-max", "2"),
+        ("ncmap", "--system", "gqw", "--theta", "0.1", "--eta", "0.2"),
+    ]
+    params = [pytest.param(argv, id=argv[0]) for argv in runs]
+    params.append(pytest.param(("ncmap", "--system", "gqw", "--x0", "2"), id="ncmap-gqw-x0"))
+    covered = {argv[:3] for argv in runs}
+    for command, (systems, _) in _COMMANDS.items():
+        for system in systems:
+            argv = (command, "--system", system)
+            if argv not in covered:
+                flow = command in ("fidelity", "trajectory")
+                field = ("--b0", "0") if flow and system == "gqw" else ()
+                params.append(pytest.param(argv + field, id=f"{command}-{system}"))
+    return params
+
+
+@pytest.mark.parametrize("argv", _header_runs())
 def test_header_reruns_to_same_output(capsys, argv):
     # the default t_end = 4 pi is not exact at 12 digits, so the header must
     # record it in full for the rerun to land on the same time grid
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     meta, _, _ = parse_csv(out)
-    flags = [argv[0]]
+    # the declared flags in order, less the output flags and the unused ones,
+    # then the notes, then the format
+    command, system = argv[0], argv[2]
+    unused = {"config", "format", "out"} | _UNUSED.get((command, system), set())
+    notes = _NOTES[command] + (["f_paper_note"] if (command, system) == ("fidelity", "ho") else [])
+    assert list(meta) == ["command", "wigsim_version",
+                          *(dest for dest in _declared_flags(command) if dest not in unused),
+                          *notes, "format"]
+    flags = [command]
     for key, value in meta.items():
         if key in _NOT_FLAGS or (key == "b0" and not value):
             continue

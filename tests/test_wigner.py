@@ -250,6 +250,18 @@ class TestGQW:
             want = -scale * mpmath.airyaizero(n)
             assert abs(e - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("g, hbar", [(1e-300, 1.0), (2.0, 1e-300), (1e-200, 1e-150),
+                                         (1e200, 1.0)])
+    def test_state_at_extreme_scales(self, g, hbar):
+        # alpha comes from the same scale as the energy, so the state builds
+        # wherever the energy does; norm * hbar does not depend on g or hbar
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        state = GQWState(1, SystemParams(kind=SystemKind.GQW_BALLISTIC, g=g, hbar=hbar))
+        want = mpmath.cbrt(8 / (mpmath.mpf(g) ** 2 * mpmath.mpf(hbar) ** 2))
+        assert abs(state.alpha - want) <= 1e-12 * want
+        assert state.norm * hbar == pytest.approx(GQWState(1, gqw_params()).norm, rel=1e-12)
+
     @pytest.mark.parametrize("mass, g, hbar", [
         (1e-300, 1e-300, 1e-300),   # the scale underflows
         (1e300, 1e300, 2e12),       # the scale is finite, the energies are not
