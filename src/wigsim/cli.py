@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, measures, quadrature, wigner
-from .model import NumericalError, PhasePoint, SystemKind, SystemParams, TimeGrid
+from .model import NumericalError, PhasePoint, SystemKind, SystemParams
 from .dynamics import evolve
 from .ncmap import (
     NCParams,
@@ -45,6 +45,8 @@ _T_END_DEFAULT = 4.0 * math.pi
 _ROW_BUDGET = 10 ** 6
 # most entropy box nodes per axis (2048): one quadrature block per sector grid
 _ENTROPY_ORDER_LIMIT = math.isqrt(quadrature._CHUNK_LIMIT)
+_KINDS = {"ho": SystemKind.HO_FIELD, "free": SystemKind.FREE_FIELD,
+          "gqw": SystemKind.GQW_BALLISTIC, "gqw-b": SystemKind.GQW_FIELD}
 
 
 class ConfigError(Exception):
@@ -108,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fidelity", help="Gaussian fidelity F(tau) per field value")
-    p.add_argument("--system", choices=("ho", "free", "gqw", "gqw-b"), default="ho")
+    p.add_argument("--system", choices=_KINDS, default="ho")
     p.add_argument("--b0", type=_float_list, default=_DEFAULT_B0, metavar="LIST",
                    help="comma-separated field strengths (default: %(default)s)")
     _add_physics_flags(p)
@@ -122,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("trajectory", help="closed-form phase-space trajectory samples")
-    p.add_argument("--system", choices=("ho", "free", "gqw", "gqw-b"), default="ho")
+    p.add_argument("--system", choices=_KINDS, default="ho")
     p.add_argument("--b0", type=_float_list, default=_DEFAULT_B0, metavar="LIST")
     _add_physics_flags(p)
     _add_initial_flags(p)
@@ -137,11 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-order", type=int, default=101,
                    help="box nodes per axis (midpoint rule)")
     p.add_argument("--box-half-width", type=float, default=8.0)
-    p.add_argument("--entropy-convention", choices=("raw", "normalized"), default="raw")
+    p.add_argument("--entropy-convention", default="raw",
+                   choices=[c.value for c in measures.EntropyConvention])
     _add_output_flags(p)
 
     p = sub.add_parser("spectrum", help="energy level tables")
-    p.add_argument("--system", choices=("ho", "free", "gqw", "gqw-b"), default="ho")
+    p.add_argument("--system", choices=_KINDS, default="ho")
     p.add_argument("--b0", type=_float_list, default=_DEFAULT_B0, metavar="LIST",
                    help="field strengths (ho/free tables; unused for gqw)")
     _add_physics_flags(p)
@@ -162,35 +165,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_entries(ns) -> list:
-    """The --config file's 'key = value' lines as (path:line, key, value);
-    the keys a subcommand allows are its own flags less --config."""
+def _config_tokens(parser, ns) -> list:
+    """The --config file's 'key = value' lines as flag tokens.  Each line in
+    turn must have that syntax, a key among the subcommand's flags less
+    --config, and a value that parses alone; the first bad line is an E_PARSE
+    error at path:line, with argparse's message for a bad value."""
     path, command = ns.config, ns.command
     allowed = {dest.replace("_", "-") for dest in vars(ns)} - {"command", "config"}
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    entries = []
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"{where}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in allowed:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}")
+            raise ConfigError(f"{where}: unknown key {key!r} for {command}")
         if not value:
-            raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-        entries.append((f"{path}:{lineno}", key, value))
-    return entries
-
-
-def _check_config_values(parser, command: str, entries) -> None:
-    """Parse each entry alone, so that a value argparse rejects is an E_PARSE
-    error at its file line with argparse's message, not a usage error."""
-    for where, key, value in entries:
+            raise ConfigError(f"{where}: empty value for {key!r}")
         err = io.StringIO()
         try:
             with contextlib.redirect_stderr(err):
@@ -198,17 +196,8 @@ def _check_config_values(parser, command: str, entries) -> None:
         except SystemExit:
             message = err.getvalue().splitlines()[-1].split(": error: ", 1)[-1]
             raise ConfigError(f"{where}: {message}") from None
-
-
-def _with_config(argv, command: str, entries):
-    """argv with the config entries as flag tokens right after the
-    subcommand, so explicit flags win."""
-    at = argv.index(command) + 1
-    return argv[:at] + [t for _, key, value in entries for t in (f"--{key}", value)] + argv[at:]
-
-
-_KINDS = {"ho": SystemKind.HO_FIELD, "free": SystemKind.FREE_FIELD,
-          "gqw": SystemKind.GQW_BALLISTIC, "gqw-b": SystemKind.GQW_FIELD}
+        tokens += [f"--{key}", value]
+    return tokens
 
 
 def _make_params(ns, b0: float) -> SystemParams:
@@ -256,7 +245,13 @@ def _flow_sweep(ns):
     params = [_make_params(ns, b0) for b0 in ns.b0]
     c0 = _initial_point(ns)
     _check_rows(ns.t_steps * len(ns.b0))
-    times = TimeGrid(ns.t_start, ns.t_end, ns.t_steps).times()
+    if not (math.isfinite(ns.t_start) and math.isfinite(ns.t_end)):
+        raise ValueError("time grid start and end must be finite")
+    if not ns.t_end > ns.t_start:
+        raise ValueError("time grid requires end > start")
+    if ns.t_steps < 2:
+        raise ValueError("time grid requires at least 2 samples")
+    times = np.linspace(ns.t_start, ns.t_end, ns.t_steps)
     table = {"b0": np.repeat(ns.b0, len(times)), "tau": np.tile(times, len(ns.b0))}
     return params, c0, times, table
 
@@ -294,8 +289,7 @@ def _run_entropy(ns):
     if not 3 <= ns.quad_order <= _ENTROPY_ORDER_LIMIT:
         raise ValueError(f"quad-order (box nodes per axis) must be between 3 and "
                          f"{_ENTROPY_ORDER_LIMIT}, got {ns.quad_order}")
-    convention = (measures.EntropyConvention.RAW_BOX if ns.entropy_convention == "raw"
-                  else measures.EntropyConvention.NORMALIZED_BOX)
+    convention = measures.EntropyConvention(ns.entropy_convention)
     systems = ["ho", "free"] if ns.system == "both" else [ns.system]
     params = [SystemParams(kind=_KINDS[name], mass=ns.mass, hbar=ns.hbar, charge=ns.charge,
                            b0=b0, omega0=ns.omega0 if name == "ho" else 0.0)
@@ -431,9 +425,9 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         if ns.config is not None:
-            entries = _config_entries(ns)
-            _check_config_values(parser, ns.command, entries)
-            ns = parser.parse_args(_with_config(argv, ns.command, entries))
+            # the file's tokens go right after the subcommand, so explicit flags win
+            at = argv.index(ns.command) + 1
+            ns = parser.parse_args(argv[:at] + _config_tokens(parser, ns) + argv[at:])
     except SystemExit as exc:
         # argparse has already printed its message; fold into our exit codes
         return 0 if exc.code in (0, None) else 2

@@ -106,6 +106,19 @@ def _transport(m: np.ndarray, b, initial: PhasePoint) -> PhasePoint:
     return PhasePoint(*(_unwrap_scalar(z[..., k]) for k in range(4)))
 
 
+def _offset(m: np.ndarray, b, omega: float, big_omega: float, t, initial: PhasePoint) -> PhasePoint:
+    """(M - I) z0 + b for M = _quadratic_map(omega, big_omega, mass, t), formed
+    directly so that a far z0 keeps its displacement: each diagonal entry
+    cos(big_omega t) cos(omega t) - 1 is taken as
+    -2 sin^2(big_omega t/2) cos(omega t) - 2 sin^2(omega t/2)."""
+    t = np.asarray(t, dtype=float)
+    k = np.arange(4)
+    m = m - np.eye(4)
+    m[..., k, k] = (-2.0 * np.sin(0.5 * big_omega * t) ** 2 * np.cos(omega * t)
+                    - 2.0 * np.sin(0.5 * omega * t) ** 2)[..., None]
+    return _transport(m, b, initial)
+
+
 def evolve(params: SystemParams, initial: PhasePoint, t) -> PhasePoint:
     """Phase-space point(s) at time(s) t under the exact flow of params,
     starting from initial.

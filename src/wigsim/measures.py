@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .dynamics import _quadratic_map, _transport, evolve
+# evolve stays importable from here: wigbench/spans.py wraps it as measures.evolve
+from .dynamics import _offset, _quadratic_map, _transport, evolve, flow_map
 from .model import NumericalError, PhasePoint, SystemKind, SystemParams
 from .specfun import _unwrap_scalar
 from .wigner import Gaussian2D, LandauState, StationaryHOState
@@ -134,24 +135,26 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
         raise ValueError("the printed fidelity family assumes the trapped system with omega0 = 1")
 
     if form == "paper":
-        ct = paper_form_point(params.omega, times, c0)
+        d = _offset(_quadratic_map(params.omega, 1.0, 1.0, times), 0.0, params.omega, 1.0,
+                    times, c0)
     else:
-        ct = evolve(params, c0, times)
-    # the closed and printed forms square the center coordinates: below 2^510, |c0|^2 is finite
+        d = _offset(*flow_map(params, times), params.omega, params.big_omega, times, c0)
+    # the printed form squares the center coordinates: below 2^510, |c0|^2 is finite
     if not np.all(np.abs(c0.as_array()) < 2.0 ** 510):
         raise ValueError("initial point out of range: |c0|^2 overflows")
-    centers = ct.as_array()
-    if not np.isfinite(centers).all():
+    d = d.as_array()
+    if not np.isfinite(d).all():
         raise NumericalError("evolved center is not finite: the flow overflows")
-    closed = fidelity_gaussian_closed(c0, ct)
-    z0 = c0.as_array()
+    closed = np.exp(-0.5 * np.sum(d * d, axis=-1))
+    # each sector pair sits at -d/2 and +d/2, where one unit rule about the
+    # origin integrates the two unit Gaussians exactly
+    scheme = quadrature.hermite_scheme((order, order))
     quad = np.ones_like(times)
-    for i, zt in enumerate(centers):
+    for i, di in enumerate(d):
         for axes in ([0, 2], [1, 3]):     # the (x, px) and (y, py) sectors
-            # unit scales at the midpoint: the rule is exact for two unit Gaussians
-            scheme = quadrature.hermite_scheme((order, order), centers=0.5 * (z0[axes] + zt[axes]))
-            quad[i] *= fidelity_quadrature(Gaussian2D(z0[axes]), Gaussian2D(zt[axes]), scheme)
-    # both states are unit Gaussians the rule integrates exactly: any excess over 1 is rounding
+            half = 0.5 * di[axes]
+            quad[i] *= fidelity_quadrature(Gaussian2D(-half), Gaussian2D(half), scheme)
+    # any excess over 1 is rounding
     quad = np.minimum(quad, 1.0)
     paper = fidelity_ho_paper(params.omega, times, c0) if is_ho_unit else None
     return FidelityCurve(times=times, closed=closed, quad=quad, paper=paper,

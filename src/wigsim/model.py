@@ -24,7 +24,6 @@ __all__ = [
     "NumericalError",
     "SystemKind",
     "PhasePoint",
-    "TimeGrid",
     "SystemParams",
 ]
 
@@ -58,26 +57,6 @@ class PhasePoint(NamedTuple):
         """Components stacked along the last axis (shape (..., 4))."""
         parts = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in self))
         return np.stack(parts, axis=-1)
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform sampling of the evolution parameter tau."""
-
-    start: float
-    end: float
-    steps: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise ValueError("time grid start and end must be finite")
-        if not self.end > self.start:
-            raise ValueError("time grid requires end > start")
-        if self.steps < 2:
-            raise ValueError("time grid requires at least 2 samples")
-
-    def times(self) -> np.ndarray:
-        return np.linspace(self.start, self.end, self.steps)
 
 
 @dataclass(frozen=True)

@@ -103,11 +103,8 @@ def laguerre(n: int, x):
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError("laguerre degree must be a nonnegative integer")
     arr = np.asarray(x, dtype=float)
-    prev = np.ones_like(arr)
-    if n == 0:
-        return _unwrap_scalar(prev)
-    cur = 1.0 - arr
-    for k in range(1, n):
+    prev, cur = np.zeros_like(arr), np.ones_like(arr)     # L_{-1} and L_0
+    for k in range(n):
         prev, cur = cur, ((2 * k + 1 - arr) * cur - k * prev) / (k + 1)
     return _unwrap_scalar(cur)
 

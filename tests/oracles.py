@@ -162,3 +162,12 @@ def gaussian_moment(k):
         return 0.0
     m = k // 2
     return math.sqrt(math.pi) * math.factorial(2 * m) / (math.factorial(m) * 4.0 ** m)
+
+
+def nc_modes(hessian, theta, eta, hbar):
+    """Normal-mode frequencies |Im eig(P hessian)| of a quadratic Hamiltonian
+    under the noncommutative brackets {x, y} = theta/hbar, {px, py} = eta/hbar,
+    {x_i, p_j} = delta_ij, in (x, y, px, py) order: sorted, each one twice."""
+    a, b = theta / hbar, eta / hbar
+    bracket = np.array([[0, a, 1, 0], [-a, 0, 0, 1], [-1, 0, 0, b], [0, -1, -b, 0]], dtype=float)
+    return np.sort(np.abs(np.linalg.eigvals(bracket @ hessian).imag))

@@ -185,13 +185,17 @@ def test_config_keys_are_the_long_flags(capsys, tmp_path, command):
     code, help_text, _ = run_cli(capsys, command, "--help")
     assert code == 0
     flags = set(re.findall(r"--[a-z0-9][a-z0-9-]*", help_text)) - {"--config", "--help"}
-    cfg = tmp_path / "all.cfg"
-    cfg.write_text("".join(f"{flag[2:]} = 1\n" for flag in sorted(flags)))
-    argv = [command, "--config", str(cfg)]
-    argv = cli._with_config(argv, command,
-                            cli._config_entries(cli.build_parser().parse_args(argv)))
-    # the config tokens go between the subcommand and the explicit flags
-    assert set(argv[1:-2:2]) == flags
+    parser = cli.build_parser()
+    cfg = tmp_path / "one.cfg"
+    for flag in sorted(flags):
+        cfg.write_text(f"{flag[2:]} = 1\n")
+        # a known key: the line becomes its flag, or its value is what is rejected
+        try:
+            tokens = cli._config_tokens(parser, parser.parse_args([command, "--config", str(cfg)]))
+        except cli.ConfigError as exc:
+            assert "unknown key" not in str(exc)
+        else:
+            assert tokens == [flag, "1"]
 
     cfg.write_text(f"config = {cfg}\n")
     code, out, err = run_cli(capsys, command, "--config", str(cfg))
@@ -254,11 +258,59 @@ def test_config_bad_value_is_parse_error_at_its_line(capsys, tmp_path, line, mes
     cfg.write_text(f"# sweep\n\nt-end = 2.0\n{line}\n")
     code, out, err = run_cli(capsys, "trajectory", "--config", str(cfg))
     assert code == 2 and err.startswith(f"error: E_PARSE: {cfg}:4: {message}")
+    # the first bad line is reported, also before an unknown key on a later line
+    cfg.write_text(f"{line}\nbogus = 1\n")
+    code, out, err = run_cli(capsys, "trajectory", "--config", str(cfg))
+    assert code == 2 and err.startswith(f"error: E_PARSE: {cfg}:1: {message}")
     # a good value in the file is still overridden by a flag
     cfg.write_text("t-steps = 3\n")
     code, out, err = run_cli(capsys, "trajectory", "--config", str(cfg), "--t-steps", "4")
     assert code == 0, err
     assert parse_csv(out)[0]["t_steps"] == "4"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--t-start", "1", "--t-end", "0.5"), "time grid requires end > start"),
+    (("--t-steps", "1"), "time grid requires at least 2 samples"),
+    (("--t-end", "inf"), "time grid start and end must be finite"),
+    (("--t-start=-inf", "--t-end", "1"), "time grid start and end must be finite"),
+    (("--t-start", "nan", "--t-end", "1"), "time grid start and end must be finite"),
+], ids=["end-before-start", "one-sample", "end-inf", "start-minus-inf", "start-nan"])
+@pytest.mark.parametrize("command", ["trajectory", "fidelity"])
+def test_time_grid_is_checked_before_any_work(capsys, monkeypatch, command, flags, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a flow was evaluated for a rejected time grid")
+
+    monkeypatch.setattr(cli, "evolve", no_work)
+    monkeypatch.setattr(cli.measures, "fidelity_curve", no_work)
+    code, out, err = run_cli(capsys, command, *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: E_RANGE: {message}\n"
+
+
+def test_time_grid_is_uniform(capsys):
+    code, out, err = run_cli(capsys, "trajectory", "--b0", "0.5", "--t-end", "1", "--t-steps", "5")
+    assert code == 0, err
+    assert [float(row["tau"]) for row in parse_csv(out)[2]] == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+# a far initial point with a small displacement: 2 pi of drift beside 1e100
+_FAR_FIDELITY = ("fidelity", "--b0", "0", "--t-end", "6.283185307179586", "--t-steps", "2")
+
+
+def test_far_free_fidelity_keeps_its_drift(capsys):
+    code, out, err = run_cli(capsys, *_FAR_FIDELITY, "--system", "free", "--x0", "1e100")
+    assert code == 0, err
+    last = parse_csv(out)[2][-1]
+    for column in ("f_closed", "f_quadrature"):
+        assert float(last[column]) == pytest.approx(math.exp(-4.0 * math.pi ** 2), rel=1e-12)
+
+
+def test_far_trap_fidelity_columns_agree(capsys):
+    code, out, err = run_cli(capsys, *_FAR_FIDELITY, "--system", "ho", "--x0", "1e10")
+    assert code == 0, err
+    for row in parse_csv(out)[2]:
+        assert row["f_closed"] == row["f_quadrature"]
 
 
 def test_bad_mass_maps_to_range_error(capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wigsim.model import PhasePoint, SystemKind, SystemParams, TimeGrid
+from wigsim.model import PhasePoint, SystemKind, SystemParams
 
 from oracles import hamiltonian_value
 
@@ -105,15 +105,3 @@ def test_phase_point_as_array():
     assert np.array_equal(pt.as_array(), [1.0, 2.0, 3.0, 4.0])
     traj = PhasePoint(np.zeros(3), np.ones(3), np.zeros(3), np.ones(3))
     assert traj.as_array().shape == (3, 4)
-
-
-def test_time_grid():
-    g = TimeGrid(0.0, 1.0, 5)
-    assert np.allclose(g.times(), [0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(ValueError):
-        TimeGrid(1.0, 0.0, 5)
-    with pytest.raises(ValueError):
-        TimeGrid(0.0, 1.0, 1)
-    for start, end in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
-        with pytest.raises(ValueError):
-            TimeGrid(start, end, 5)

@@ -1,7 +1,11 @@
 """Noncommutative parameter maps."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from wigsim.dynamics import flow_map
 from wigsim.model import PhasePoint, SystemKind, SystemParams
 from wigsim.ncmap import (
     CoordinateShift,
@@ -12,6 +16,7 @@ from wigsim.ncmap import (
     gqw_nc_map,
     sigma_invertible,
 )
+from oracles import nc_modes
 
 
 def test_trapped_effective_field():
@@ -110,3 +115,44 @@ def test_nc_params_validation():
         NCParams(nu=-1.0)
     with pytest.raises(ValueError):
         NCParams(theta=float("inf"))
+
+
+def _flow_modes(params):
+    """Normal-mode frequencies of flow_map, sorted, each one twice: the
+    eigenphases of M(t) over t, at a t where every phase is below pi."""
+    t = 1.0 / (params.big_omega + params.omega)
+    m, _ = flow_map(params, t)
+    return np.sort(np.abs(np.angle(np.linalg.eigvals(m)))) / t
+
+
+@pytest.mark.parametrize("mass, hbar, charge, omega0, theta, eta", [
+    (1.0, 1.0, 1.0, 1.0, 0.1, 0.2),
+    (2.0, 0.5, 1.5, 0.7, 0.3, 0.05),
+    (0.5, 2.0, 0.8, 1.3, 0.02, 0.4),
+])
+def test_trapped_map_gives_the_nc_mode_splitting(mass, hbar, charge, omega0, theta, eta):
+    # the deformed trap H = p^2/2m + m omega0^2 r^2/2 has no field; its
+    # splitting must be that of the field-carrying trap at the effective b0
+    trap = SystemParams(kind=SystemKind.HO_FIELD, mass=mass, hbar=hbar, charge=charge,
+                        omega0=omega0)
+    hessian = np.diag([mass * omega0 ** 2] * 2 + [1.0 / mass] * 2)
+    nc = nc_modes(hessian, theta, eta, hbar)
+    b0 = effective_b0_ho(NCParams(theta=theta, eta=eta), trap)
+    flow = _flow_modes(replace(trap, b0=b0))
+    assert nc[2] - nc[0] == pytest.approx(flow[2] - flow[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("mass, hbar, charge, theta, eta", [
+    (1.0, 1.0, 1.0, 0.1, 0.2),
+    (2.0, 0.5, 1.5, 0.3, 0.05),
+    (0.5, 2.0, 0.8, 0.02, 0.4),
+])
+def test_free_map_gives_the_nc_cyclotron_frequency(mass, hbar, charge, theta, eta):
+    free = SystemParams(kind=SystemKind.FREE_FIELD, mass=mass, hbar=hbar, charge=charge)
+    nc = nc_modes(np.diag([0.0, 0.0, 1.0 / mass, 1.0 / mass]), theta, eta, hbar)
+    assert nc[-1] == pytest.approx(eta / (mass * hbar), rel=1e-12)
+    b0 = effective_b0_free(NCParams(theta=theta, eta=eta), free)
+    params = replace(free, b0=b0)
+    # the cyclotron frequency 2 omega is the flow's nonzero mode
+    assert _flow_modes(params)[-1] == pytest.approx(2.0 * params.omega, rel=1e-12)
+    assert nc[-1] == pytest.approx(2.0 * params.omega, rel=1e-12)
