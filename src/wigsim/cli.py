@@ -258,8 +258,6 @@ def _flow_sweep(ns):
 
 def _run_fidelity(ns):
     params, c0, times, table = _flow_sweep(ns)
-    if ns.quad_order < 1:
-        raise ValueError("quad-order must be positive")
     curves = [measures.fidelity_curve(p, c0, times, order=ns.quad_order, form=ns.fidelity_form)
               for p in params]
     table["f_closed"] = np.concatenate([c.closed for c in curves])

@@ -1,16 +1,19 @@
 """Independent numerical routes used to pin expected values.
 
-Nothing here reuses the package's closed-form or series implementations.
-hamiltonian_value and canonical_rhs state the Hamiltonian and its canonical
-equations directly; ode_residual and flow_jacobian difference the package's
-evolve, the flow under test, and compare it with them.
+Nothing here reuses the package's closed-form or series implementations,
+with one exception: paper_form_point transports a point with the package's
+quadratic map, as the printed family's definition.  hamiltonian_value and
+canonical_rhs state the Hamiltonian and its canonical equations directly;
+ode_residual and flow_jacobian difference the package's evolve, the flow under
+test, and compare it with them.  flow_generator_mp and hermite_fidelity_mp
+recompute a fidelity sample in mpmath from the canonical equations alone.
 """
 
 import math
 
 import numpy as np
 
-from wigsim.dynamics import evolve
+from wigsim.dynamics import _quadratic_map, _transport, evolve
 from wigsim.model import PhasePoint, SystemParams
 from wigsim.specfun import _unwrap_scalar
 
@@ -171,3 +174,60 @@ def nc_modes(hessian, theta, eta, hbar):
     a, b = theta / hbar, eta / hbar
     bracket = np.array([[0, a, 1, 0], [-a, 0, 0, 1], [-1, 0, 0, b], [0, -1, -b, 0]], dtype=float)
     return np.sort(np.abs(np.linalg.eigvals(bracket @ hessian).imag))
+
+
+def fidelity_gaussian_closed(c0: PhasePoint, ct: PhasePoint):
+    """F = exp(-|ct - c0|^2 / 2) for two unit-width Gaussians.
+
+    Accepts array-valued components in ct (or c0) and broadcasts.
+    """
+    d = ct.as_array() - c0.as_array()
+    return _unwrap_scalar(np.exp(-0.5 * np.sum(d * d, axis=-1)))
+
+
+def paper_form_point(omega, t, c0: PhasePoint) -> PhasePoint:
+    """Center trajectory of the printed trapped-system fidelity family.
+
+    Rotation at omega composed with unit-frequency oscillation carrying unit
+    position/momentum weights (the omega0 = 1 family with the lam/kap ratio
+    replaced by 1).
+    """
+    return _transport(_quadratic_map(omega, 1.0, 1.0, t), 0.0, c0)
+
+
+def flow_generator_mp(mass, charge, b0, omega0, gravity, unit_weights=False):
+    """5x5 generator G of the canonical equations as an mpmath matrix:
+    d/dt (z, 1) = G (z, 1) with z = (x, y, px, py), omega = q b0 / (2 m),
+    2 lam^2 = m (omega^2 + omega0^2) and 2 kap^2 = 1 / m.  unit_weights
+    sets 2 lam^2 = 2 kap^2 = 1, the printed omega0 = 1 family."""
+    from mpmath import mp, mpf
+
+    m, w = mpf(mass), mpf(charge) * mpf(b0) / (2 * mpf(mass))
+    two_lam2 = 1 if unit_weights else m * (w * w + mpf(omega0) ** 2)
+    two_kap2 = 1 if unit_weights else 1 / m
+    gen = mp.zeros(5, 5)
+    gen[0, 1], gen[0, 2] = w, two_kap2
+    gen[1, 0], gen[1, 3] = -w, two_kap2
+    gen[2, 0], gen[2, 3] = -two_lam2, w
+    gen[3, 1], gen[3, 2], gen[3, 4] = -two_lam2, -w, -m * mpf(gravity)
+    return gen
+
+
+def hermite_fidelity_mp(gen, z0, t, order):
+    """(closed, quadrature) fidelity of unit Gaussians at z0 and exp(G t)(z0, 1),
+    in mpmath at the current precision.  With d the displacement, closed is
+    exp(-|d|^2 / 2); quadrature integrates sqrt(W_0 W_t) on the unit
+    Gauss-Hermite rule of the given order about z0: (prod_k s_k)^2, capped
+    at 1, with s_k = sum_i w_i exp(x_i^2 / 2 - (d_k - x_i)^2 / 2) / sqrt(pi)."""
+    from mpmath import mp, mpf
+
+    z = mp.matrix([mpf(v) for v in z0] + [1])
+    zt = mp.expm(gen * mpf(t)) * z
+    d = [zt[k] - z[k] for k in range(4)]
+    nodes, weights = mp.gauss_quadrature(order, "hermite")
+    closed = mp.exp(-sum(dk * dk for dk in d) / 2)
+    amplitude = mpf(1)
+    for dk in d:
+        amplitude *= sum(w * mp.exp(x * x / 2 - (dk - x) ** 2 / 2)
+                         for x, w in zip(nodes, weights)) / mp.sqrt(mp.pi)
+    return closed, min(amplitude * amplitude, mpf(1))

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import wigsim.cli as cli
-from oracles import airy_ode_values, flow_jacobian, hamiltonian_value, ode_residual
+from oracles import (
+    airy_ode_values,
+    fidelity_gaussian_closed,
+    flow_jacobian,
+    hamiltonian_value,
+    ode_residual,
+    paper_form_point,
+)
 from wigsim import measures, quadrature
 from wigsim.dynamics import evolve
 from wigsim.measures import EntropyConvention, entropy_vs_field, shannon_entropy
@@ -66,11 +73,11 @@ def test_criterion_01_closed_vs_quadrature_fidelity():
 def test_criterion_02_trap_beating_structure():
     p0 = _params(SystemKind.HO_FIELD, 0.0)
     dense = np.linspace(0.0, 4 * np.pi, 4001)
-    f = measures.fidelity_gaussian_closed(C0, evolve(p0, C0, dense))
+    f = fidelity_gaussian_closed(C0, evolve(p0, C0, dense))
     k = int(np.argmin(f))
     min_at_pi = abs(dense[k] - np.pi) <= dense[1] and \
         abs(float(f[k]) - math.exp(-8.0)) <= 1e-9
-    shift = measures.fidelity_gaussian_closed(C0, evolve(p0, C0, dense[:1000] + 2 * np.pi))
+    shift = fidelity_gaussian_closed(C0, evolve(p0, C0, dense[:1000] + 2 * np.pi))
     periodic = float(np.max(np.abs(shift - f[:1000]))) <= 1e-9
 
     def first_revival(omega, form):
@@ -80,7 +87,7 @@ def test_criterion_02_trap_beating_structure():
         else:
             p = _params(SystemKind.HO_FIELD, 2.0 * omega)
             ts = np.arange(0.0, 700.0, 1e-3)
-            vals = measures.fidelity_gaussian_closed(C0, evolve(p, C0, ts))
+            vals = fidelity_gaussian_closed(C0, evolve(p, C0, ts))
         dip = np.nonzero(vals < 0.5)[0]
         rise = np.nonzero(vals[dip[0]:] > 0.999)[0]
         return float(ts[dip[0] + rise[0]])
@@ -98,8 +105,8 @@ def test_criterion_03_free_charge_periodicity():
     for omega in (0.05, 0.25, 0.5):
         p = _params(SystemKind.FREE_FIELD, 2.0 * omega)
         ts = rng.uniform(0.0, 4 * np.pi, size=20)
-        d = np.abs(measures.fidelity_gaussian_closed(C0, evolve(p, C0, ts + np.pi / omega))
-                   - measures.fidelity_gaussian_closed(C0, evolve(p, C0, ts)))
+        d = np.abs(fidelity_gaussian_closed(C0, evolve(p, C0, ts + np.pi / omega))
+                   - fidelity_gaussian_closed(C0, evolve(p, C0, ts)))
         worst = max(worst, float(d.max()))
     _report(3, "free-charge fidelity repeats with period pi/omega to 1e-9 "
                "at 20 random times for omega in {0.05, 0.25, 0.5}", worst <= 1e-9,
@@ -113,7 +120,7 @@ def test_criterion_04_gravitational_suppression_ordering():
         for b0 in (0.0, 0.1, 0.5, 1.0):
             kind = SystemKind.GQW_BALLISTIC if b0 == 0.0 else SystemKind.GQW_FIELD
             ct = evolve(_params(kind, b0), C0, t)
-            vals.append(float(measures.fidelity_gaussian_closed(C0, ct)))
+            vals.append(float(fidelity_gaussian_closed(C0, ct)))
         ok = ok and all(b < a for a, b in zip(vals, vals[1:]))
     _report(4, "gravitational fidelity at t in {0.25, 0.5, 1.0} decreases strictly "
                "with field strength (zero-field row uses the ballistic flow)", ok)
@@ -258,8 +265,7 @@ def test_criterion_10_rotating_frame_identity():
     for omega in (0.05, 0.1, 0.25, 0.5, 1.0):
         for t in np.linspace(0.0, 4 * np.pi, 50):
             a = float(measures.fidelity_ho_paper(omega, t, C0))
-            b = float(measures.fidelity_gaussian_closed(
-                C0, measures.paper_form_point(omega, t, C0)))
+            b = float(fidelity_gaussian_closed(C0, paper_form_point(omega, t, C0)))
             worst = max(worst, abs(a - b))
     _report(10, "the rotating-frame fidelity equals the closed form along its own "
                 "trajectory to 1e-12", worst <= 1e-12, f"worst |diff| = {worst:.2e}")

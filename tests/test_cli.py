@@ -313,6 +313,20 @@ def test_far_trap_fidelity_columns_agree(capsys):
         assert row["f_closed"] == row["f_quadrature"]
 
 
+def test_quad_order_moves_the_quadrature_column(capsys):
+    # the rule is W0's own, not fitted to the pair: order 1 is far off, order 32 exact
+    cols = {}
+    for order in ("1", "32"):
+        code, out, err = run_cli(capsys, "fidelity", "--quad-order", order)
+        assert code == 0, err
+        rows = parse_csv(out)[2]
+        cols[order] = {c: [float(r[c]) for r in rows] for c in ("f_closed", "f_quadrature")}
+    assert cols["1"]["f_closed"] == cols["32"]["f_closed"]
+    assert cols["1"]["f_quadrature"] != cols["32"]["f_quadrature"]
+    assert np.max(np.abs(np.subtract(cols["1"]["f_quadrature"], cols["1"]["f_closed"]))) > 1e-2
+    assert np.allclose(cols["32"]["f_quadrature"], cols["32"]["f_closed"], rtol=0, atol=1e-12)
+
+
 def test_bad_mass_maps_to_range_error(capsys):
     code, _, err = run_cli(capsys, "trajectory", "--mass", "-1", "--t-steps", "2")
     assert code == 2
@@ -719,6 +733,16 @@ def test_entropy_quad_order_bounds(capsys, monkeypatch, fmt, order):
     assert out == ""
     assert err == ("error: E_RANGE: quad-order (box nodes per axis) must be between 3 and "
                    f"2048, got {order}\n")
+
+
+@pytest.mark.parametrize("order", ["0", "257"])
+def test_fidelity_quad_order_bounds(capsys, order):
+    # 1 to 256, the orders of specfun.gauss_hermite
+    code, out, err = run_cli(capsys, "fidelity", "--quad-order", order, "--t-steps", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: E_RANGE: ") and err.count("\n") == 1
+    assert "1 <= n <= 256" in err
 
 
 def test_entropy_quad_order_limit_is_one_sector_block():

@@ -3,7 +3,9 @@
 Headers, spectra, entropy tables and noncommutative maps must match byte
 for byte.  Fidelity and trajectory cells depend on the order in which the
 flow's terms are summed, which may move their last digits, so they are
-compared to 1e-12 * max(1, |golden|).
+compared to 1e-12 * max(1, |golden|).  The fidelity files' own cells are
+recomputed in mpmath from their headers, so they hold the Hermite rule's
+values, not a copy of the program's.
 """
 
 import json
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import wigsim.cli as cli
+from oracles import flow_generator_mp, hermite_fidelity_mp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -89,4 +92,29 @@ def test_matches_golden(tmp_path, name):
         assert [len(r) for r in got_rows] == [len(r) for r in want_rows]
         pairs = [p for r, w in zip(got_rows, want_rows) for p in zip(r, w)]
     bad = [(g, w) for g, w in pairs if not _close(g, w)]
+    assert not bad, f"{len(bad)} cells differ, first {bad[:3]}"
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("fidelity")))
+def test_fidelity_golden_cells_match_mpmath(name):
+    # every fidelity cell of the checked-in file against the same order-n rule
+    # summed in mpmath at 30 digits, with d from the matrix exponential of the
+    # canonical generator; the parameters come from the file's header
+    from mpmath import mp
+
+    head, cols, rows = _split_csv((GOLDEN / name).read_text())
+    cfg = dict(line[2:].split(" = ", 1) for line in head if " = " in line)
+    num = {k: float(cfg[k]) for k in ("mass", "charge", "omega0", "gravity")}
+    z0 = [float(cfg[k]) for k in ("x0", "y0", "px0", "py0")]
+    bad = []
+    with mp.workdps(30):
+        for row in rows:
+            cell = dict(zip(cols.split(","), row))
+            gen = flow_generator_mp(b0=float(cell["b0"]),
+                                    unit_weights=cfg["fidelity_form"] == "paper", **num)
+            closed, quad = hermite_fidelity_mp(gen, z0, float(cell["tau"]), int(cfg["quad_order"]))
+            for column, want in (("f_closed", closed), ("f_quadrature", quad),
+                                 ("abs_diff", abs(closed - quad))):
+                if not abs(float(cell[column]) - want) <= 1e-12:
+                    bad.append((cell["b0"], cell["tau"], column, cell[column], mp.nstr(want, 15)))
     assert not bad, f"{len(bad)} cells differ, first {bad[:3]}"

@@ -13,16 +13,15 @@ from wigsim.measures import (
     WignerNegativityError,
     entropy_vs_field,
     fidelity_curve,
-    fidelity_gaussian_closed,
     fidelity_ho_paper,
     fidelity_quadrature,
-    paper_form_point,
     shannon_entropy,
 )
 from wigsim.model import PhasePoint, SystemKind, SystemParams
 from wigsim.quadrature import box_scheme, hermite_scheme, integrate
 from wigsim.wigner import Gaussian2D, GaussianWigner, LandauState, StationaryHOState
 
+from oracles import fidelity_gaussian_closed, paper_form_point
 from test_dynamics import _PROPERTY, valid_params
 
 C0 = PhasePoint(1.0, 1.0, 1.0, 1.0)
@@ -115,8 +114,7 @@ class TestPaperForm:
     def test_equals_closed_form_on_its_trajectory(self):
         ts = np.linspace(0.0, 12.0, 97)
         for omega in (0.1, 0.5, 1.0):
-            want = fidelity_gaussian_closed(
-                C0, paper_form_point(omega, ts, C0))
+            want = fidelity_gaussian_closed(C0, paper_form_point(omega, ts, C0))
             got = fidelity_ho_paper(omega, ts, C0)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
@@ -174,11 +172,11 @@ class TestFidelityCurve:
         curve = fidelity_curve(params, c0, ts, order=8, form=form)
         ct = (paper_form_point(params.omega, ts, c0) if form == "paper"
               else evolve(params, c0, ts))
+        # the 4D oracle on W0's own rule: centred at c0, not at the pair's midpoint
         w0 = GaussianWigner(c0)
         for i, center in enumerate(ct.as_array()):
             wt = GaussianWigner(PhasePoint(*center))
-            want = fidelity_quadrature(
-                w0, wt, hermite_scheme((8,) * 4, centers=0.5 * np.add(w0.center, wt.center)))
+            want = fidelity_quadrature(w0, wt, hermite_scheme((8,) * 4, centers=w0.center))
             assert curve.quad[i] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("form", ["consistent", "paper"])
@@ -223,6 +221,15 @@ class TestFidelityCurve:
         curve = fidelity_curve(params, PhasePoint(*z0), [0.0, t], order=order)
         assert np.all((curve.closed >= 0.0) & (curve.closed <= 1.0))
         assert np.all((curve.quad >= 0.0) & (curve.quad <= 1.0))
+
+    def test_far_free_quadrature_error_falls_with_order(self):
+        # d = (2 pi, 2 pi, 0, 0) beside x0 = 1e100: the rule's error, well above
+        # rounding at orders 8 and 16, falls as the order doubles
+        free = SystemParams(kind=SystemKind.FREE_FIELD, b0=0.0)
+        far = PhasePoint(1e100, 1.0, 1.0, 1.0)
+        rel = [fidelity_curve(free, far, [2.0 * math.pi], order=n).abs_diff[0]
+               / math.exp(-4.0 * math.pi ** 2) for n in (8, 16, 32)]
+        assert rel[0] > rel[1] > 1e-6 > 1e-12 > rel[2]
 
     def test_quad_rounding_excess_capped_at_one(self):
         # uncapped, the order-100 sector sums at t = 0 round to 1 + 9e-16

@@ -3,8 +3,9 @@
 The tracer patches wigsim names in place.  A job run under it must print
 what the untraced job prints, each state .value call must record exactly
 one span (a wigner.value span inside another one means a class was wrapped
-twice), the default sweeps must stay on the order^2 sector route, and the levels of
-a gravitational spectrum must share one zero search.
+twice), the entropy sweep must stay on the order^2 sector route, a fidelity
+curve must evaluate no state and integrate nothing through quadrature, and
+the levels of a gravitational spectrum must share one zero search.
 """
 
 import json
@@ -33,20 +34,26 @@ def _traced(tmp_path, argv):
     return traced.stdout, json.loads(spans_path.read_text())
 
 
-@pytest.mark.parametrize("argv, nodes_per_axis", [
-    (("fidelity", "--system", "free", "--b0", "0.5", "--quad-order", "4", "--t-steps", "3"), 4),
-    (("entropy", "--system", "both", "--b0", "0.5", "--quad-order", "5"), 5),
+@pytest.mark.parametrize("argv", [
+    ("fidelity", "--system", "free", "--b0", "0.5", "--quad-order", "4", "--t-steps", "3"),
+    ("entropy", "--system", "both", "--b0", "0.5", "--quad-order", "5"),
 ], ids=["fidelity", "entropy"])
-def test_traced_job_matches_untraced(tmp_path, capsys, argv, nodes_per_axis):
+def test_traced_job_matches_untraced(tmp_path, capsys, argv):
     stdout, spans = _traced(tmp_path, argv)
     assert cli.main(list(argv)) == 0
     assert stdout == capsys.readouterr().out
 
+    if argv[0] == "fidelity":
+        # the curve sums its own Hermite rule: no integrate call, no state value
+        names = [s[0] for s in spans]
+        assert "measures.fidelity_curve" in names
+        assert "quadrature.integrate" not in names and "wigner.value" not in names
+        return
     values = [s for s in spans if s[0] == "wigner.value"]
     assert values
     assert not [s for s in values if s[3] >= 0 and spans[s[3]][0] == "wigner.value"]
     nodes = [s[4] for s in spans if s[0] == "quadrature.integrate"]
-    assert max(nodes) == nodes_per_axis ** 2
+    assert max(nodes) == 5 ** 2
 
 
 def test_gqw_levels_share_one_zero_search(tmp_path, capsys):
