@@ -242,9 +242,9 @@ def _check_rows(n_rows: int) -> None:
 def _flow_sweep(ns):
     """The parameters of every b0, all built before any work, the initial
     point, the sample times and the (b0, tau) columns, b0 slowest."""
+    _check_rows(ns.t_steps * len(ns.b0))
     params = [_make_params(ns, b0) for b0 in ns.b0]
     c0 = _initial_point(ns)
-    _check_rows(ns.t_steps * len(ns.b0))
     if not (math.isfinite(ns.t_start) and math.isfinite(ns.t_end)):
         raise ValueError("time grid start and end must be finite")
     if not ns.t_end > ns.t_start:
@@ -289,6 +289,7 @@ def _run_entropy(ns):
                          f"{_ENTROPY_ORDER_LIMIT}, got {ns.quad_order}")
     convention = measures.EntropyConvention(ns.entropy_convention)
     systems = ["ho", "free"] if ns.system == "both" else [ns.system]
+    _check_rows(len(ns.b0) * len(systems))
     params = [SystemParams(kind=_KINDS[name], mass=ns.mass, hbar=ns.hbar, charge=ns.charge,
                            b0=b0, omega0=ns.omega0 if name == "ho" else 0.0)
               for name in systems for b0 in ns.b0]
@@ -305,8 +306,8 @@ def _run_spectrum(ns):
     n_levels = ns.n_max + 1
     if ns.system == "ho":
         b0_used = ns.b0
-        params = [_make_params(ns, b0) for b0 in b0_used]
         _check_rows(n_levels ** 2 * len(b0_used))
+        params = [_make_params(ns, b0) for b0 in b0_used]
         n1, n2 = np.divmod(np.arange(n_levels ** 2), n_levels)
         table = {"b0": np.repeat(b0_used, n_levels ** 2), "n1": np.tile(n1, len(b0_used)),
                  "n2": np.tile(n2, len(b0_used)),
@@ -315,8 +316,8 @@ def _run_spectrum(ns):
         b0_used = [b0 for b0 in ns.b0 if b0 > 0]
         if not b0_used:
             raise ValueError("the Landau ladder needs at least one positive b0")
-        params = [_make_params(ns, b0) for b0 in b0_used]
         _check_rows(n_levels * len(b0_used))
+        params = [_make_params(ns, b0) for b0 in b0_used]
         n = np.arange(n_levels)
         table = {"b0": np.repeat(b0_used, n_levels), "n": np.tile(n, len(b0_used)),
                  "energy": np.concatenate([wigner.landau_energy(n, p) for p in params])}
@@ -376,39 +377,38 @@ def _text(value) -> str:
     return str(value)
 
 
-def _column_cells(name: str, column, fmt: str) -> list:
-    """The cells of one column as CSV or JSON text.
-
-    Floats are written at 12 significant digits; in JSON as the repr of the
-    float those digits read back as, which is what json.dumps writes for it.
-    """
+def _column(name: str, column, fmt: str):
+    """The cells of one column, as Python numbers or text, and the % conversion
+    that writes each: %d for integers, %s for text (_text in CSV, json.dumps in
+    JSON), and floats at 12 significant digits; in JSON as %r of the float those
+    digits read back as, which is what json.dumps writes for it."""
     column = np.asarray(column)
-    if column.dtype.kind in "iu":   # str of a Python int is also its JSON text
-        return list(map(str, column.tolist()))
+    if column.dtype.kind in "iu":
+        return column.tolist(), "%d"
     if column.dtype.kind != "f":
-        return list(map(_text if fmt == "csv" else json.dumps, column.tolist()))
+        return list(map(_text if fmt == "csv" else json.dumps, column.tolist())), "%s"
     if not np.isfinite(column).all():
         raise NonFiniteCellError(f"column {name!r} has a non-finite value")
-    cells = list(map("{:.12g}".format, column.tolist()))
-    return cells if fmt == "csv" else [repr(float(c)) for c in cells]
+    if fmt == "csv":
+        return column.tolist(), "%.12g"
+    return list(map(float, map("%.12g".__mod__, column.tolist()))), "%r"
 
 
 def _render(fmt: str, command: str, config: dict, table: dict) -> str:
-    """A run's output text; table maps each column name to its cells."""
-    columns = [_column_cells(name, col, fmt) for name, col in table.items()]
+    """A run's output text; table maps each column name to its cells, and one
+    row template, filled once per row, writes the rows in either format."""
+    columns, conversions = zip(*(_column(name, col, fmt) for name, col in table.items()))
     if fmt == "csv":
         lines = [f"# wigsim {command}"]
-        for key, value in config.items():
-            lines.append(f"# {key} = {_text(value)}")
+        lines += (f"# {key} = {_text(value)}" for key, value in config.items())
         lines.append(",".join(table))
-        lines.extend(map(",".join, zip(*columns)))
+        lines += map(",".join(conversions).__mod__, zip(*columns))
         return "\n".join(lines) + "\n"
-    # the layout json.dumps(doc, indent=2) gives, with each row from one template
-    # JSON writes a float's repr, which reads back as the same float
+    # the layout json.dumps(doc, indent=2) gives
     head = json.dumps({"config": config}, indent=2)
     keys = (json.dumps(name).replace("%", "%%") for name in table)
-    row = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
-    rows = ",\n".join(row % cells for cells in zip(*columns))
+    row = "    {\n" + ",\n".join(map("      {}: {}".format, keys, conversions)) + "\n    }"
+    rows = ",\n".join(map(row.__mod__, zip(*columns)))
     body = f"[\n{rows}\n  ]" if rows else "[]"
     return f'{head[:-2]},\n  "rows": {body}\n}}\n'
 

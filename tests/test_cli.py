@@ -757,12 +757,15 @@ def test_entropy_quad_order_limit_is_one_sector_block():
     (("spectrum", "--system", "ho", "--b0", "0.5", "--n-max", "1000"), 1001 ** 2),
     (("spectrum", "--system", "free", "--b0", "0, 1, 2", "--n-max", "500000"), 2 * 500001),
     (("spectrum", "--system", "gqw", "--n-max", "100000000000"), 10 ** 11),
-], ids=["trajectory", "fidelity", "spectrum-ho", "spectrum-free", "spectrum-gqw"])
+    # one row per system and field: 10^6 sector integrations if unchecked
+    (("entropy", "--system", "both", "--b0", ",".join(["0.5"] * 500001), "--quad-order", "3"),
+     2 * 500001),
+], ids=["trajectory", "fidelity", "spectrum-ho", "spectrum-free", "spectrum-gqw", "entropy"])
 def test_row_budget_is_range_error(capsys, argv, rows):
     assert rows > cli._ROW_BUDGET
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "E_RANGE" in err
+    assert err.startswith("error: E_RANGE: ") and err.count("\n") == 1
     assert str(rows) in err
     assert out == ""
 
@@ -946,6 +949,10 @@ _FLOATS = [-0.0, 1e-05, 1e16, 123456789012.0, 0.1, -2.5e-300, 4.0 * math.pi, 1.0
     {"n_y": np.arange(1, 1), "energy": np.empty(0)},
 ], ids=["mixed", "one-row", "empty"])
 def test_columnar_render_matches_row_render(table, fmt):
+    _assert_renders_as_rows(table, fmt)
+
+
+def _assert_renders_as_rows(table, fmt):
     columns = list(table)
     rows = [dict(zip(columns, cells)) for cells in zip(*(list(c) for c in table.values()))]
     rows = [{c: v.item() if isinstance(v, np.generic) else v for c, v in row.items()}
@@ -956,6 +963,46 @@ def test_columnar_render_matches_row_render(table, fmt):
         doc = {"config": _RENDER_CONFIG,
                "rows": [{c: _row_json_value(row[c]) for c in columns} for row in rows]}
         assert want == json.dumps(doc, indent=2) + "\n"
+
+
+# floats where %.12g or repr switch between fixed and exponent notation, and
+# their neighbours, beside signed zeros and subnormals
+_SWITCHES = [x * s for x in (1e-4, 1e-5, 1e12, 1e16, 999999999999.5) for s in (1.0, -1.0)]
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                *_SWITCHES, *(math.nextafter(x, 0.0) for x in _SWITCHES),
+                *(math.nextafter(x, math.copysign(math.inf, x)) for x in _SWITCHES)]
+_TEXT = st.text(st.one_of(st.sampled_from('%"\u00e9\u20ac\\,'),
+                          st.characters(blacklist_categories=("Cs",),
+                                        blacklist_characters="\x00")), max_size=8)
+_CELLS = {
+    "float": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(_EDGE_FLOATS)),
+    "int": st.integers(-2 ** 63, 2 ** 63 - 1),
+    "bool": st.booleans(),
+    "str": _TEXT,
+}
+
+
+@st.composite
+def _tables(draw):
+    names = draw(st.lists(st.text('ab%"\u00e9', min_size=1, max_size=4),
+                          min_size=1, max_size=6, unique=True))
+    n_rows = draw(st.integers(0, 50))
+    table = {}
+    for name in names:
+        kind = draw(st.sampled_from(sorted(_CELLS)))
+        cells = draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows))
+        # numeric columns come as numpy arrays or as Python lists, as runners give them
+        as_array = kind in ("float", "int") and draw(st.booleans())
+        table[name] = np.array(cells, dtype=float if kind == "float" else np.int64) \
+            if as_array else cells
+    return table
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_tables(), st.sampled_from(["csv", "json"]))
+def test_columnar_render_matches_row_render_property(table, fmt):
+    _assert_renders_as_rows(table, fmt)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -239,6 +239,27 @@ class TestFidelityCurve:
         assert curve.abs_diff[0] == 0.0
 
 
+# the field's effect on a curve: the largest |F_b0 - F_0| over tau in [0, 4 pi],
+# with F_0 the zero-field curve (the ballistic flow for gqw-b)
+def _field_effect(kind, b0, g=0.0):
+    taus = np.linspace(0.0, 4.0 * math.pi, 40001)
+    zero_kind = SystemKind.GQW_BALLISTIC if kind is SystemKind.GQW_FIELD else kind
+    f_b0, f_0 = (fidelity_curve(SystemParams(kind=k, b0=b, g=g), C0, taus, order=1).closed
+                 for k, b in ((kind, b0), (zero_kind, 0.0)))
+    return float(np.max(np.abs(f_b0 - f_0)))
+
+
+# the abstract says gravity suppresses the field's effect on the fidelity; on
+# this measure that holds from b0 = 0.5 up and fails at b0 = 0.1 (gqw-b / free)
+@pytest.mark.parametrize("g, b0, ratio", [
+    (2.0, 0.1, 13.44), (9.81, 0.1, 2.69), (2.0, 0.5, 0.113), (2.0, 1.0, 0.230)])
+def test_gravitational_suppression_depends_on_field(g, b0, ratio):
+    got = (_field_effect(SystemKind.GQW_FIELD, b0, g)
+           / _field_effect(SystemKind.FREE_FIELD, b0))
+    assert got > 1.0 if b0 < 0.5 else got < 1.0
+    assert got == pytest.approx(ratio, rel=5e-3)
+
+
 class TestEntropy:
     def test_unit_gaussian_sector(self):
         # -/int w ln w for w = e^{-a^2-b^2}/pi is ln(pi) + 1
