@@ -1,9 +1,9 @@
 """Command-line front end: parameter sweeps emitting plot-ready CSV/JSON.
 
 Subcommands: fidelity, entropy, trajectory, spectrum, ncmap.  Config
-precedence is flags > config file > defaults; every output embeds the fully
-resolved configuration as header metadata.  Identical configs produce
-byte-identical output.
+precedence is flags > config file > defaults; every output embeds the flags
+the run read, at their resolved values, as header metadata.  Identical
+configs produce byte-identical output.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -39,7 +39,11 @@ _EPS_NOTE = "eps12=+1; cross term omega*(px*y - py*x)"
 _FLOW_NOTES = {"epsilon_convention": _EPS_NOTE, "time_variable": "tau"}
 _DEFAULT_B0 = "0, 0.1, 0.5, 1"
 _INITIAL_FLAGS = ("x0", "y0", "px0", "py0")
-_INITIAL_DEFAULT = 1.0
+# the declared flags a system's run does not read: main rejects a value other
+# than the parser default, and the header leaves them out
+_UNUSED = {("spectrum", "gqw"): ("b0", "charge"), ("spectrum", "gqw-b"): ("b0", "charge"),
+           ("ncmap", "ho"): _INITIAL_FLAGS, ("ncmap", "free"): ("mass", *_INITIAL_FLAGS),
+           ("ncmap", "gqw"): ("mass", "y0", "px0")}
 _T_END_DEFAULT = 4.0 * math.pi
 # most output rows one run may ask for, checked before anything is allocated
 _ROW_BUDGET = 10 ** 6
@@ -79,19 +83,21 @@ def _add_output_flags(p):
     p.add_argument("--out", default="-", metavar="PATH", help="output file, '-' for stdout")
 
 
-def _add_physics_flags(p):
+def _add_physics_flags(p, hbar=True, gravity=True):
     p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--hbar", type=float, default=1.0)
+    if hbar:
+        p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--charge", type=float, default=1.0)
     p.add_argument("--omega0", type=float, default=None,
                    help="trap frequency (default: 1 for ho, 0 otherwise)")
-    p.add_argument("--gravity", type=float, default=None,
-                   help="gravitational acceleration (default: 2 for gqw systems, 0 otherwise)")
+    if gravity:
+        p.add_argument("--gravity", type=float, default=None,
+                       help="gravitational acceleration (default: 2 for gqw systems, 0 otherwise)")
 
 
 def _add_initial_flags(p):
     for name in _INITIAL_FLAGS:
-        p.add_argument(f"--{name}", type=float, default=_INITIAL_DEFAULT)
+        p.add_argument(f"--{name}", type=float, default=1.0)
 
 
 def _add_time_flags(p):
@@ -113,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=_KINDS, default="ho")
     p.add_argument("--b0", type=_float_list, default=_DEFAULT_B0, metavar="LIST",
                    help="comma-separated field strengths (default: %(default)s)")
-    _add_physics_flags(p)
+    # the packets are unit-width and the flow is classical: no hbar
+    _add_physics_flags(p, hbar=False)
     _add_initial_flags(p)
     _add_time_flags(p)
     p.add_argument("--quad-order", type=int, default=32,
@@ -126,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", help="closed-form phase-space trajectory samples")
     p.add_argument("--system", choices=_KINDS, default="ho")
     p.add_argument("--b0", type=_float_list, default=_DEFAULT_B0, metavar="LIST")
-    _add_physics_flags(p)
+    _add_physics_flags(p, hbar=False)
     _add_initial_flags(p)
     _add_time_flags(p)
     _add_output_flags(p)
@@ -135,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=("ho", "free", "both"), default="both")
     p.add_argument("--b0", type=_float_list, default="0.1, 0.25, 0.5, 0.75, 1", metavar="LIST",
                    help="field strengths (default: %(default)s; 0 is invalid for free)")
-    _add_physics_flags(p)
+    _add_physics_flags(p, gravity=False)
     p.add_argument("--quad-order", type=int, default=101,
                    help="box nodes per axis (midpoint rule)")
     p.add_argument("--box-half-width", type=float, default=8.0)
@@ -146,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="energy level tables")
     p.add_argument("--system", choices=_KINDS, default="ho")
     p.add_argument("--b0", type=_float_list, default=_DEFAULT_B0, metavar="LIST",
-                   help="field strengths (ho/free tables; unused for gqw)")
+                   help="field strengths of the ho and free tables; gqw and gqw-b take none")
     _add_physics_flags(p)
     p.add_argument("--n-max", type=int, default=5, help="largest quantum number")
     _add_output_flags(p)
@@ -158,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=1.0)
-    _add_physics_flags(p)
+    _add_physics_flags(p, gravity=False)
     _add_initial_flags(p)
     _add_output_flags(p)
 
@@ -201,14 +208,10 @@ def _config_tokens(parser, ns) -> list:
 
 
 def _make_params(ns, b0: float) -> SystemParams:
-    system = ns.system
-    if system == "gqw" and b0 != 0:
+    if ns.system == "gqw" and b0 != 0:
         raise ValueError("system gqw is field-free; use gqw-b for b0 > 0")
-    kind = _KINDS[system]
-    if system.startswith("gqw") and b0 == 0:
-        kind, b0 = SystemKind.GQW_BALLISTIC, 0.0
-    return SystemParams(kind=kind, mass=ns.mass, hbar=ns.hbar, charge=ns.charge, b0=b0,
-                        omega0=ns.omega0, g=ns.gravity)
+    return SystemParams(kind=_KINDS[ns.system], mass=ns.mass, hbar=getattr(ns, "hbar", 1.0),
+                        charge=ns.charge, b0=b0, omega0=ns.omega0, g=getattr(ns, "gravity", 0.0))
 
 
 def _initial_point(ns) -> PhasePoint:
@@ -221,17 +224,16 @@ def _initial_point(ns) -> PhasePoint:
 _OUTPUT_FLAGS = ("command", "config", "format", "out")
 
 
-def _config(ns, unused=(), **values) -> dict:
+def _config(ns, **notes) -> dict:
     """Header config of a run: command and version; then the subcommand's
-    flags in the order build_parser declares them, less the output flags and
-    the ones the run does not use, each at its resolved value in values if
-    there is one; then the other values, notes on the run; then the format.
+    flags at their resolved values, in the order build_parser declares them,
+    less the output flags and the system's _UNUSED ones; then notes on the
+    run; then the format.
     """
-    cfg = {"command": ns.command, "wigsim_version": __version__}
-    for key, value in vars(ns).items():
-        if key not in _OUTPUT_FLAGS and key not in unused:
-            cfg[key] = values.pop(key, value)
-    return {**cfg, **values, "format": ns.format}
+    skip = _OUTPUT_FLAGS + _UNUSED.get((ns.command, ns.system), ())
+    flags = {key: value for key, value in vars(ns).items() if key not in skip}
+    return {"command": ns.command, "wigsim_version": __version__, **flags, **notes,
+            "format": ns.format}
 
 
 def _check_rows(n_rows: int) -> None:
@@ -280,8 +282,6 @@ def _run_trajectory(ns):
 
 
 def _run_entropy(ns):
-    if ns.gravity != 0:
-        raise ValueError("gravity does not apply to the entropy sweep systems")
     if ns.system == "free" and ns.omega0 != 0:
         raise ValueError("omega0 does not apply to the free entropy sweep")
     if not 3 <= ns.quad_order <= _ENTROPY_ORDER_LIMIT:
@@ -297,7 +297,7 @@ def _run_entropy(ns):
                                        nodes_per_axis=ns.quad_order, convention=convention)
     table = {"system": np.repeat(systems, len(ns.b0)), "b0": ns.b0 * len(systems),
              "entropy": values, "convention": [ns.entropy_convention] * len(params)}
-    return table, _config(ns, unused=("gravity",), epsilon_convention=_EPS_NOTE)
+    return table, _config(ns, epsilon_convention=_EPS_NOTE)
 
 
 def _run_spectrum(ns):
@@ -305,37 +305,33 @@ def _run_spectrum(ns):
         raise ValueError("n-max must be nonnegative")
     n_levels = ns.n_max + 1
     if ns.system == "ho":
-        b0_used = ns.b0
-        _check_rows(n_levels ** 2 * len(b0_used))
-        params = [_make_params(ns, b0) for b0 in b0_used]
+        _check_rows(n_levels ** 2 * len(ns.b0))
+        params = [_make_params(ns, b0) for b0 in ns.b0]
         n1, n2 = np.divmod(np.arange(n_levels ** 2), n_levels)
-        table = {"b0": np.repeat(b0_used, n_levels ** 2), "n1": np.tile(n1, len(b0_used)),
-                 "n2": np.tile(n2, len(b0_used)),
+        table = {"b0": np.repeat(ns.b0, n_levels ** 2), "n1": np.tile(n1, len(ns.b0)),
+                 "n2": np.tile(n2, len(ns.b0)),
                  "energy": np.concatenate([wigner.ho_energy(n1, n2, p) for p in params])}
     elif ns.system == "free":
-        b0_used = [b0 for b0 in ns.b0 if b0 > 0]
-        if not b0_used:
+        # the ladder's fields, which are also all the header records
+        ns.b0 = [b0 for b0 in ns.b0 if b0 > 0]
+        if not ns.b0:
             raise ValueError("the Landau ladder needs at least one positive b0")
-        _check_rows(n_levels * len(b0_used))
-        params = [_make_params(ns, b0) for b0 in b0_used]
+        _check_rows(n_levels * len(ns.b0))
+        params = [_make_params(ns, b0) for b0 in ns.b0]
         n = np.arange(n_levels)
-        table = {"b0": np.repeat(b0_used, n_levels), "n": np.tile(n, len(b0_used)),
+        table = {"b0": np.repeat(ns.b0, n_levels), "n": np.tile(n, len(ns.b0)),
                  "energy": np.concatenate([wigner.landau_energy(n, p) for p in params])}
     else:
-        # gravitational levels are field-independent; the b0 list is unused
+        # gravitational levels are field-independent: _UNUSED holds b0 and charge
         if ns.n_max < 1:
             raise ValueError("gravitational levels start at n_y = 1; n-max must be >= 1")
         _check_rows(ns.n_max)
         n_y = np.arange(1, ns.n_max + 1)
         table = {"n_y": n_y, "energy": wigner.gqw_energy(n_y, _make_params(ns, 0.0))}
-        b0_used = []
-    return table, _config(ns, b0=b0_used)
+    return table, _config(ns)
 
 
 def _run_ncmap(ns):
-    unused = () if ns.system == "gqw" else _INITIAL_FLAGS
-    if any(getattr(ns, key) != _INITIAL_DEFAULT for key in unused):
-        raise ValueError("--x0 --y0 --px0 --py0 apply to the gqw map only")
     nc = NCParams(theta=ns.theta, eta=ns.eta, mu=ns.mu, nu=ns.nu)
     params = _make_params(ns, 0.0)
     row = {"map": ns.system, "theta": ns.theta, "eta": ns.eta, "mu": ns.mu, "nu": ns.nu}
@@ -351,7 +347,7 @@ def _run_ncmap(ns):
         row["x0_mapped"] = shift.apply(_initial_point(ns)).x
     row["s_aux"] = auxiliary_s(ns.mu, ns.nu)
     row["sigma_invertible"] = sigma_invertible(nc, ns.hbar)
-    return {key: [value] for key, value in row.items()}, _config(ns, unused)
+    return {key: [value] for key, value in row.items()}, _config(ns)
 
 
 _RUNNERS = {
@@ -401,16 +397,17 @@ def _render(fmt: str, command: str, config: dict, table: dict) -> str:
     if fmt == "csv":
         lines = [f"# wigsim {command}"]
         lines += (f"# {key} = {_text(value)}" for key, value in config.items())
-        lines.append(",".join(table))
-        lines += map(",".join(conversions).__mod__, zip(*columns))
-        return "\n".join(lines) + "\n"
+        lines += [",".join(table), *map(",".join(conversions).__mod__, zip(*columns)), ""]
+        del columns
+        return "\n".join(lines)
     # the layout json.dumps(doc, indent=2) gives
     head = json.dumps({"config": config}, indent=2)
     keys = (json.dumps(name).replace("%", "%%") for name in table)
     row = "    {\n" + ",\n".join(map("      {}: {}".format, keys, conversions)) + "\n    }"
-    rows = ",\n".join(map(row.__mod__, zip(*columns)))
-    body = f"[\n{rows}\n  ]" if rows else "[]"
-    return f'{head[:-2]},\n  "rows": {body}\n}}\n'
+    rows = [*map(row.__mod__, zip(*columns))]
+    del columns
+    rows = ("[\n", ",\n".join(rows), "\n  ]") if rows else ("[]",)
+    return "".join([head[:-2], ',\n  "rows": ', *rows, "\n}\n"])
 
 
 # one parser per process, built on the first run rather than at import
@@ -435,10 +432,14 @@ def main(argv=None) -> int:
     # the defaults that depend on the system, resolved once for every use
     if ns.omega0 is None:
         ns.omega0 = 1.0 if ns.system in ("ho", "both") else 0.0
-    if ns.gravity is None:
+    if getattr(ns, "gravity", 0.0) is None:
         ns.gravity = 2.0 if ns.system in ("gqw", "gqw-b") else 0.0
 
     try:
+        defaults = parser.parse_args([ns.command])
+        for key in _UNUSED.get((ns.command, ns.system), ()):
+            if getattr(ns, key) != getattr(defaults, key):
+                raise ValueError(f"{ns.command} --system {ns.system} does not read --{key}")
         # numpy stays quiet here alone; the checks report each non-finite result
         with np.errstate(all="ignore"):
             table, config = _RUNNERS[ns.command](ns)

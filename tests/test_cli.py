@@ -449,10 +449,11 @@ def test_entropy_both_systems(capsys):
 
 
 def test_entropy_rejects_gravity(capsys):
-    code, _, err = run_cli(
+    # entropy declares no --gravity, so argparse rejects it
+    code, out, err = run_cli(
         capsys, "entropy", "--gravity", "2", "--quad-order", "11", "--b0", "0.5")
-    assert code == 2
-    assert "E_RANGE" in err
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --gravity 2" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -559,36 +560,45 @@ _POSITIVE = _MAGNITUDE.map(repr)
 _SIGNED = st.tuples(st.sampled_from([1.0, -1.0]), _MAGNITUDE).map(lambda sv: repr(sv[0] * sv[1]))
 _B0 = {"b0": st.lists(st.one_of(st.just(0.0), _MAGNITUDE), min_size=1, max_size=3)
        .map(lambda b0: ",".join(map(repr, b0)))}
-_PHYSICS = {"mass": _POSITIVE, "hbar": _POSITIVE, "charge": _POSITIVE}
+# each subcommand's physics flags, as build_parser declares them
+_PHYSICS = {"mass": _POSITIVE, "charge": _POSITIVE, "omega0": _POSITIVE}
+_HBAR = {"hbar": _POSITIVE}
+_GRAVITY = {"gravity": _POSITIVE}
 _INITIAL = {name: _SIGNED for name in ("x0", "y0", "px0", "py0")}
 _TIMES = {"t-start": _SIGNED, "t-end": _SIGNED, "t-steps": st.integers(2, 4).map(str)}
 # each subcommand's systems and flags, with small step counts and orders
 _SIZES = {"t-steps", "quad-order", "n-max"}
 _COMMANDS = {
     "fidelity": (["ho", "free", "gqw", "gqw-b"], {
-        **_B0, **_PHYSICS, **_INITIAL, **_TIMES, "quad-order": st.integers(1, 6).map(str),
+        **_B0, **_PHYSICS, **_GRAVITY, **_INITIAL, **_TIMES,
+        "quad-order": st.integers(1, 6).map(str),
         "fidelity-form": st.sampled_from(["consistent", "paper"])}),
-    "trajectory": (["ho", "free", "gqw", "gqw-b"], {**_B0, **_PHYSICS, **_INITIAL, **_TIMES}),
+    "trajectory": (["ho", "free", "gqw", "gqw-b"], {
+        **_B0, **_PHYSICS, **_GRAVITY, **_INITIAL, **_TIMES}),
     "entropy": (["ho", "free", "both"], {
-        **_B0, **_PHYSICS, "quad-order": st.integers(3, 9).map(str),
+        **_B0, **_PHYSICS, **_HBAR, "quad-order": st.integers(3, 9).map(str),
         "box-half-width": _POSITIVE,
         "entropy-convention": st.sampled_from(["raw", "normalized"])}),
     "spectrum": (["ho", "free", "gqw", "gqw-b"], {
-        **_B0, **_PHYSICS, "n-max": st.integers(1, 6).map(str)}),
+        **_B0, **_PHYSICS, **_HBAR, **_GRAVITY, "n-max": st.integers(1, 6).map(str)}),
     "ncmap": (["ho", "free", "gqw"], {
         "theta": _POSITIVE, "eta": _POSITIVE, "mu": _POSITIVE, "nu": _POSITIVE,
-        **_PHYSICS, **_INITIAL}),
+        **_PHYSICS, **_HBAR, **_INITIAL}),
 }
 # a trap or gravity only where the system has one: elsewhere it is a range
 # error before any arithmetic
-_SYSTEM_FLAGS = {"ho": {"omega0": _POSITIVE}, "both": {"omega0": _POSITIVE}, "free": {},
-                 "gqw": {"gravity": _POSITIVE}, "gqw-b": {"gravity": _POSITIVE}}
+_SYSTEM_FLAGS = {"ho": {"omega0"}, "both": {"omega0"}, "free": set(),
+                 "gqw": {"gravity"}, "gqw-b": {"gravity"}}
 
 
 def _run_argv(command: str, system: str):
     """Runs of one subcommand and system: the sizes always set, each other flag
-    absent or set, as --flag=value so that a negative value is not read as a flag."""
-    flags = {**_COMMANDS[command][1], **_SYSTEM_FLAGS[system]}
+    absent or set, as --flag=value so that a negative value is not read as a flag.
+    The flags the system does not read are left out: any value of theirs but
+    the default is a range error before any work."""
+    skip = {"omega0", "gravity"} - _SYSTEM_FLAGS[system]
+    skip |= set(cli._UNUSED.get((command, system), ()))
+    flags = {name: values for name, values in _COMMANDS[command][1].items() if name not in skip}
     fixed = [command, f"--system={system}"]
     if system == "gqw" and "b0" in flags:
         del flags["b0"]
@@ -659,6 +669,7 @@ def test_sigma_invertible_when_a_product_underflows(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    # ncmap declares no --gravity at all
     ("ncmap", "--system", "ho", "--gravity", "5"),
     ("ncmap", "--system", "free", "--omega0", "3"),
     ("ncmap", "--system", "gqw", "--omega0", "2"),
@@ -674,8 +685,11 @@ def test_unused_omega0_or_gravity_is_range_error(capsys, argv):
     # the header would record a value the run does not use
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert err.startswith("error: E_RANGE: ") and err.count("\n") == 1
     assert out == ""
+    if argv[0] == "ncmap" and "--gravity" in argv:
+        assert "unrecognized arguments: --gravity 5" in err and "E_RANGE" not in err
+    else:
+        assert err.startswith("error: E_RANGE: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -838,8 +852,9 @@ _NOTES = {"fidelity": _FLOW_NOTES, "trajectory": _FLOW_NOTES, "entropy": ["epsil
           "spectrum": [], "ncmap": []}
 # flags a run does not use, which its header leaves out
 _INITIAL_DESTS = {"x0", "y0", "px0", "py0"}
-_UNUSED = {("entropy", system): {"gravity"} for system in ("ho", "free", "both")}
-_UNUSED.update({("ncmap", "ho"): _INITIAL_DESTS, ("ncmap", "free"): _INITIAL_DESTS})
+_UNUSED = {("spectrum", "gqw"): {"b0", "charge"}, ("spectrum", "gqw-b"): {"b0", "charge"},
+           ("ncmap", "ho"): _INITIAL_DESTS, ("ncmap", "free"): {"mass"} | _INITIAL_DESTS,
+           ("ncmap", "gqw"): {"mass", "y0", "px0"}}
 
 
 def _declared_flags(command: str) -> list:
@@ -889,12 +904,86 @@ def test_header_reruns_to_same_output(capsys, argv):
                           *notes, "format"]
     flags = [command]
     for key, value in meta.items():
-        if key in _NOT_FLAGS or (key == "b0" and not value):
+        if key in _NOT_FLAGS:
             continue
         flags += ["--" + key.replace("_", "-"), value]
     code, again, err = run_cli(capsys, *flags)
     assert code == 0, err
     assert again == out
+
+
+# small base runs, each at b0 = 0.5 where it takes a field (0 for the gqw
+# flows, none for the gqw spectra and ncmap), and a value other than the
+# base run's for every flag a header records
+_SWEEP_BASE = {"fidelity": ("--t-steps", "5", "--quad-order", "4"),
+               "trajectory": ("--t-steps", "5"), "entropy": ("--quad-order", "21"),
+               "spectrum": ("--n-max", "2"), "ncmap": ("--theta", "0.1", "--eta", "0.2")}
+_SWEEP_VALUES = {"b0": "0.7", "mass": "2", "hbar": "2", "charge": "2", "omega0": "0.7",
+                 "gravity": "3", "x0": "0.3", "y0": "0.3", "px0": "0.3", "py0": "0.3",
+                 "t_start": "0.5", "t_end": "3", "t_steps": "7", "quad_order": "3",
+                 "fidelity_form": "paper", "box_half_width": "3",
+                 "entropy_convention": "normalized", "n_max": "3", "theta": "0.3", "eta": "0.3",
+                 "mu": "2", "nu": "2"}
+_OMEGA_ZERO = "omega = q b0 / 2m is 0 at b0 = 0, whatever q"
+# flags a run reads that cannot move a cell, each with the reason
+_INVARIANT = {
+    ("fidelity", "gqw", "charge"): _OMEGA_ZERO,
+    ("trajectory", "gqw", "charge"): _OMEGA_ZERO,
+    ("fidelity", "gqw", "x0"): "d = (M - I) c0 + b of a field-free flow has no position part",
+    ("fidelity", "gqw", "y0"): "d = (M - I) c0 + b of a field-free flow has no position part",
+    ("entropy", "free", "mass"): "the Landau ridges depend only on m omega = q b0 / 2",
+}
+
+
+def _sweep_base(command: str, system: str) -> list:
+    argv = [command, "--system", system, *_SWEEP_BASE[command]]
+    if command in ("fidelity", "trajectory", "entropy"):
+        argv += ["--b0", "0" if system == "gqw" else "0.5"]
+    elif command == "spectrum" and not system.startswith("gqw"):
+        argv += ["--b0", "0.5"]
+    return argv
+
+
+@pytest.mark.parametrize("command, system", [(command, system)
+                                             for command, (systems, _) in _COMMANDS.items()
+                                             for system in systems])
+def test_every_recorded_flag_moves_a_cell(capsys, command, system):
+    # the header records only what the run reads: a new value of each recorded
+    # flag changes a data cell, or the run rejects it with one error line
+    code, out, err = run_cli(capsys, *_sweep_base(command, system))
+    assert code == 0, err
+    meta, header, rows = parse_csv(out)
+    # not gqw <-> gqw-b: at b0 = 0 they are one system
+    values = {**_SWEEP_VALUES, "system": "free" if system == "ho" else "ho"}
+    still = []
+    for key in meta.keys() - _NOT_FLAGS - {"format"}:
+        assert values[key] != meta[key]
+        code, again, err = run_cli(capsys, *_sweep_base(command, system),
+                                   "--" + key.replace("_", "-"), values[key])
+        if code == 2:
+            assert err.startswith("error: E_") and err.count("\n") == 1 and again == "", key
+            continue
+        assert code == 0, err
+        moved = parse_csv(again)[1:] != (header, rows)
+        if (command, system, key) in _INVARIANT:
+            assert not moved, _INVARIANT[command, system, key]
+        elif not moved:
+            still.append(key)
+    assert not still, f"recorded flags that move no cell: {sorted(still)}"
+
+
+@pytest.mark.parametrize("command, flag", [("fidelity", "hbar"), ("trajectory", "hbar"),
+                                           ("entropy", "gravity"), ("ncmap", "gravity")])
+def test_undeclared_physics_flag_is_rejected(capsys, tmp_path, command, flag):
+    # the run would not read it: a flag is a usage error, a config key an unknown one
+    code, out, err = run_cli(capsys, command, f"--{flag}", "2")
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: --{flag} 2" in err
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{flag} = 2\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: E_PARSE: {cfg}:1: unknown key {flag!r} for {command}\n"
 
 
 # the row renderer the columnar one replaced, kept as the oracle: one dict per
