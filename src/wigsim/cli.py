@@ -47,8 +47,8 @@ _UNUSED = {("spectrum", "gqw"): ("b0", "charge"), ("spectrum", "gqw-b"): ("b0", 
 _T_END_DEFAULT = 4.0 * math.pi
 # most output rows one run may ask for, checked before anything is allocated
 _ROW_BUDGET = 10 ** 6
-# most entropy box nodes per axis (2048): one quadrature block per sector grid
-_ENTROPY_ORDER_LIMIT = math.isqrt(quadrature._CHUNK_LIMIT)
+# most entropy box nodes per axis (2048): a sector grid within the node budget
+_ENTROPY_ORDER_LIMIT = math.isqrt(quadrature._NODE_LIMIT)
 _KINDS = {"ho": SystemKind.HO_FIELD, "free": SystemKind.FREE_FIELD,
           "gqw": SystemKind.GQW_BALLISTIC, "gqw-b": SystemKind.GQW_FIELD}
 

@@ -96,27 +96,21 @@ def flow_map(params: SystemParams, t):
     return m, np.moveaxis(b, 0, -1)
 
 
-def _transport(m: np.ndarray, b, initial: PhasePoint) -> PhasePoint:
-    """z = M z0 + b, broadcasting the time shape of M against the shape of
-    the initial point's components; rejects a non-finite initial point."""
+def _offset(m: np.ndarray, b, omega: float, big_omega: float, t, initial: PhasePoint) -> np.ndarray:
+    """d = (M - I) z0 + b, the flow's displacement from z0, with the time shape
+    broadcast against the initial point's; rejects a non-finite z0.  M - I is
+    formed directly, so that a far z0 keeps its displacement: each diagonal
+    entry cos(big_omega t) cos(omega t) - 1 is taken as
+    -2 sin^2(big_omega t/2) cos(omega t) - 2 sin^2(omega t/2)."""
     z0 = initial.as_array()
     if not np.all(np.isfinite(z0)):
         raise ValueError("initial point must be finite")
-    z = np.einsum("...ij,...j->...i", m, z0) + b
-    return PhasePoint(*(_unwrap_scalar(z[..., k]) for k in range(4)))
-
-
-def _offset(m: np.ndarray, b, omega: float, big_omega: float, t, initial: PhasePoint) -> PhasePoint:
-    """(M - I) z0 + b for M = _quadratic_map(omega, big_omega, mass, t), formed
-    directly so that a far z0 keeps its displacement: each diagonal entry
-    cos(big_omega t) cos(omega t) - 1 is taken as
-    -2 sin^2(big_omega t/2) cos(omega t) - 2 sin^2(omega t/2)."""
     t = np.asarray(t, dtype=float)
     k = np.arange(4)
     m = m - np.eye(4)
     m[..., k, k] = (-2.0 * np.sin(0.5 * big_omega * t) ** 2 * np.cos(omega * t)
                     - 2.0 * np.sin(0.5 * omega * t) ** 2)[..., None]
-    return _transport(m, b, initial)
+    return np.einsum("...ij,...j->...i", m, z0) + b
 
 
 def evolve(params: SystemParams, initial: PhasePoint, t) -> PhasePoint:
@@ -124,6 +118,9 @@ def evolve(params: SystemParams, initial: PhasePoint, t) -> PhasePoint:
     starting from initial.
 
     Covers every kind, including the field-free limits: a FREE_FIELD or
-    GQW_FIELD system with b0 = 0 moves ballistically.
+    GQW_FIELD system with b0 = 0 moves ballistically.  The point is z0 + d,
+    with d the displacement that fidelity_curve measures.
     """
-    return _transport(*flow_map(params, t), initial)
+    d = _offset(*flow_map(params, t), params.omega, params.big_omega, t, initial)
+    z = initial.as_array() + d
+    return PhasePoint(*(_unwrap_scalar(z[..., k]) for k in range(4)))

@@ -119,16 +119,16 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     is_ho_unit = params.kind is SystemKind.HO_FIELD and params.omega0 == 1.0
     if form == "paper" and not is_ho_unit:
         raise ValueError("the printed fidelity family assumes the trapped system with omega0 = 1")
+    # the printed form squares c0: below 2^510, |c0|^2 is finite; checked before any flow
+    if not np.all(np.abs(c0.as_array()) < 2.0 ** 510):
+        raise ValueError("initial point must be finite, with each coordinate below 2^510 "
+                         "so that |c0|^2 does not overflow")
 
     if form == "paper":
         d = _offset(_quadratic_map(params.omega, 1.0, 1.0, times), 0.0, params.omega, 1.0,
                     times, c0)
     else:
         d = _offset(*flow_map(params, times), params.omega, params.big_omega, times, c0)
-    # the printed form squares the center coordinates: below 2^510, |c0|^2 is finite
-    if not np.all(np.abs(c0.as_array()) < 2.0 ** 510):
-        raise ValueError("initial point out of range: |c0|^2 overflows")
-    d = d.as_array()
     if not np.isfinite(d).all():
         raise NumericalError("evolved center is not finite: the flow overflows")
     closed = np.exp(-0.5 * np.sum(d * d, axis=-1))

@@ -125,4 +125,5 @@ class SystemParams:
 
     @property
     def big_omega(self) -> float:
-        return 2.0 * self.lam * self.kappa
+        """sqrt(omega^2 + omega0^2) = 2 lam kappa, as a hypot: omega0 itself at omega = 0."""
+        return math.hypot(self.omega, self.omega0)

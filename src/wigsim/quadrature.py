@@ -27,9 +27,8 @@ __all__ = [
     "NonFiniteIntegrandError",
 ]
 
-# grids larger than this are evaluated one first-axis node at a time;
-# the threshold depends only on the scheme, so chunking is deterministic
-_CHUNK_LIMIT = 2 ** 22
+# most nodes in one grid, which integrate evaluates as one block
+_NODE_LIMIT = 2 ** 22
 
 
 class NonFiniteIntegrandError(NumericalError):
@@ -115,36 +114,26 @@ def _axes(scheme: QuadratureScheme):
 def integrate(f: Callable, dims: int, scheme: QuadratureScheme) -> float:
     """Integrate f over dims variables with the given scheme.
 
-    f is called with dims broadcastable coordinate arrays and must return the
-    broadcast value array.  It is evaluated in chunks along the first axis:
-    the whole axis at once, or one node per chunk on grids above
-    _CHUNK_LIMIT, a layout fixed by the scheme.  Raises ValueError, before
-    building any node, when the first axis or the smallest chunk (one
-    first-axis node, or a 1D axis whole) has more than _CHUNK_LIMIT nodes.
+    f is called once, with dims coordinate arrays that broadcast to the whole
+    grid, and must return the value array on it; the values are contracted
+    with each axis's weights, last axis first.  Raises ValueError, before
+    building any node, when the grid has more than _NODE_LIMIT nodes.
     """
     if dims != scheme.dims:
         raise ValueError(f"scheme has {scheme.dims} axes, integrand expects {dims}")
-    block = max(scheme.orders[0], math.prod(scheme.orders[1:]))
-    if block > _CHUNK_LIMIT:
-        raise ValueError(f"the scheme's first axis or smallest chunk has {block} nodes; "
-                         f"at most {_CHUNK_LIMIT} allowed")
-    axes = _axes(scheme)
-    (nodes0, weights0), rest = axes[0], axes[1:]
     size = math.prod(scheme.orders)
-    step = len(nodes0) if size <= _CHUNK_LIMIT or not rest else 1
-    total = 0.0
-    for lo in range(0, len(nodes0), step):
-        chunk = [(nodes0[lo:lo + step], weights0[lo:lo + step])] + rest
-        grids = [nodes.reshape((1,) * i + (-1,) + (1,) * (dims - i - 1))
-                 for i, (nodes, _) in enumerate(chunk)]
-        vals = np.broadcast_to(np.asarray(f(*grids), dtype=float), tuple(g.size for g in grids))
-        if not np.all(np.isfinite(vals)):
-            idx = np.argwhere(~np.isfinite(vals))[0]
-            node = tuple(float(nodes[i]) for (nodes, _), i in zip(chunk, idx))
-            raise NonFiniteIntegrandError(f"integrand not finite at node {node}")
-        for axis in range(dims - 1, -1, -1):
-            vals = np.tensordot(vals, chunk[axis][1], axes=([axis], [0]))
-        total += float(vals)
+    if size > _NODE_LIMIT:
+        raise ValueError(f"the scheme's grid has {size} nodes; at most {_NODE_LIMIT} allowed")
+    axes = _axes(scheme)
+    grids = np.ix_(*(nodes for nodes, _ in axes))
+    vals = np.broadcast_to(np.asarray(f(*grids), dtype=float), scheme.orders)
+    if not np.all(np.isfinite(vals)):
+        idx = np.argwhere(~np.isfinite(vals))[0]
+        node = tuple(float(nodes[i]) for (nodes, _), i in zip(axes, idx))
+        raise NonFiniteIntegrandError(f"integrand not finite at node {node}")
+    for axis in range(dims - 1, -1, -1):
+        vals = np.tensordot(vals, axes[axis][1], axes=([axis], [0]))
+    total = float(vals)
     if not math.isfinite(total):
         raise NonFiniteIntegrandError(f"weighted sum of the integrand not finite: {total}")
     return total

@@ -1,11 +1,12 @@
 """Independent numerical routes used to pin expected values.
 
 Nothing here reuses the package's closed-form or series implementations,
-with one exception: paper_form_point transports a point with the package's
-quadratic map, as the printed family's definition.  hamiltonian_value and
-canonical_rhs state the Hamiltonian and its canonical equations directly;
-ode_residual and flow_jacobian difference the package's evolve, the flow under
-test, and compare it with them.  flow_generator_mp and hermite_fidelity_mp
+with one exception: paper_form_point applies the package's quadratic map to
+a point itself, as the printed family's definition, without the package's
+routine that applies the flow.  hamiltonian_value and canonical_rhs state the
+Hamiltonian and its canonical equations directly; ode_residual and
+flow_jacobian difference the package's evolve, the flow under test, and
+compare it with them.  flow_generator_mp and hermite_fidelity_mp
 recompute a fidelity sample in mpmath from the canonical equations alone.
 """
 
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from wigsim.dynamics import _quadratic_map, _transport, evolve
+from wigsim.dynamics import _quadratic_map, evolve
 from wigsim.model import PhasePoint, SystemParams
 from wigsim.specfun import _unwrap_scalar
 
@@ -192,7 +193,8 @@ def paper_form_point(omega, t, c0: PhasePoint) -> PhasePoint:
     position/momentum weights (the omega0 = 1 family with the lam/kap ratio
     replaced by 1).
     """
-    return _transport(_quadratic_map(omega, 1.0, 1.0, t), 0.0, c0)
+    z = np.einsum("...ij,...j->...i", _quadratic_map(omega, 1.0, 1.0, t), c0.as_array())
+    return PhasePoint(*(_unwrap_scalar(z[..., k]) for k in range(4)))
 
 
 def flow_generator_mp(mass, charge, b0, omega0, gravity, unit_weights=False):

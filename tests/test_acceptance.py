@@ -74,8 +74,10 @@ def test_criterion_02_trap_beating_structure():
     p0 = _params(SystemKind.HO_FIELD, 0.0)
     dense = np.linspace(0.0, 4 * np.pi, 4001)
     f = fidelity_gaussian_closed(C0, evolve(p0, C0, dense))
+    # the grid holds two periods, whose minima at pi and 3 pi are equal but for
+    # rounding, so the lowest sample may be either: it lies at pi modulo 2 pi
     k = int(np.argmin(f))
-    min_at_pi = abs(dense[k] - np.pi) <= dense[1] and \
+    min_at_pi = abs(math.remainder(dense[k] - np.pi, 2 * np.pi)) <= dense[1] and \
         abs(float(f[k]) - math.exp(-8.0)) <= 1e-9
     shift = fidelity_gaussian_closed(C0, evolve(p0, C0, dense[:1000] + 2 * np.pi))
     periodic = float(np.max(np.abs(shift - f[:1000]))) <= 1e-9
@@ -233,8 +235,8 @@ def test_criterion_08_eigenvalue_residual():
 
 def test_criterion_09_entropy_shape():
     g4 = GaussianWigner(PhasePoint(0.0, 0.0, 0.0, 0.0))
-    box4 = quadrature.box_scheme((61,) * 4, [(-8.0, 8.0)] * 4)
-    box2 = quadrature.box_scheme((61,) * 2, [(-8.0, 8.0)] * 2)
+    box4 = quadrature.box_scheme((45,) * 4, [(-8.0, 8.0)] * 4)
+    box2 = quadrature.box_scheme((45,) * 2, [(-8.0, 8.0)] * 2)
     s4 = shannon_entropy(g4, box4)
     ssum = shannon_entropy(g4.sector_x, box2) + shannon_entropy(g4.sector_y, box2)
     additive = abs(s4 - ssum) <= 1e-8

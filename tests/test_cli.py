@@ -311,6 +311,9 @@ def test_far_trap_fidelity_columns_agree(capsys):
     assert code == 0, err
     for row in parse_csv(out)[2]:
         assert row["f_closed"] == row["f_quadrature"]
+    # the exact value at the float time just short of 2 pi; a big_omega of
+    # 1 + 2^-52 printed 0.999999999883
+    assert row["f_closed"] == "0.999999999997"
 
 
 def test_quad_order_moves_the_quadrature_column(capsys):
@@ -760,7 +763,7 @@ def test_fidelity_quad_order_bounds(capsys, order):
 
 
 def test_entropy_quad_order_limit_is_one_sector_block():
-    assert cli._ENTROPY_ORDER_LIMIT ** 2 == cli.quadrature._CHUNK_LIMIT
+    assert cli._ENTROPY_ORDER_LIMIT ** 2 == cli.quadrature._NODE_LIMIT
 
 
 # each asks for more rows than the budget allows; none gets far enough to

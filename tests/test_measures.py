@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wigsim import measures
 from wigsim.dynamics import evolve
 from wigsim.measures import (
     EntropyConvention,
@@ -213,6 +214,20 @@ class TestFidelityCurve:
         with pytest.raises(ValueError, match="finite"):
             fidelity_curve(p, c0, np.linspace(0.0, 1.0, 3), order=2, form=form)
 
+    @pytest.mark.parametrize("form", ["consistent", "paper"])
+    def test_far_center_rejected_before_the_flow(self, monkeypatch, form):
+        # the flow's arrays scale with the times, so a c0 whose |c0|^2
+        # overflows must be refused before either form's map is built
+        def no_flow(*args):
+            raise AssertionError("the flow was built for an out-of-range initial point")
+
+        monkeypatch.setattr(measures, "flow_map", no_flow)
+        monkeypatch.setattr(measures, "_quadratic_map", no_flow)
+        p = SystemParams(kind=SystemKind.HO_FIELD, b0=0.5, omega0=1.0)
+        for c0 in (PhasePoint(1e300, 0.0, 0.0, 0.0), PhasePoint(0.0, 0.0, 0.0, -2.0 ** 510)):
+            with pytest.raises(ValueError, match="below 2\\^510"):
+                fidelity_curve(p, c0, np.linspace(0.0, 1.0, 3), order=2, form=form)
+
     @_PROPERTY
     @given(valid_params(), st.tuples(*[st.floats(-5.0, 5.0)] * 4), st.floats(-10.0, 10.0),
            st.integers(1, 64))
@@ -269,8 +284,8 @@ class TestEntropy:
 
     def test_product_state_additivity(self):
         w = GaussianWigner(PhasePoint(0.5, -0.3, 0.2, 0.0))
-        sch4 = box_scheme((61,) * 4, [(-8.0, 8.0)] * 4)
-        sch2 = box_scheme((61,) * 2, [(-8.0, 8.0)] * 2)
+        sch4 = box_scheme((45,) * 4, [(-8.0, 8.0)] * 4)
+        sch2 = box_scheme((45,) * 2, [(-8.0, 8.0)] * 2)
         total = shannon_entropy(w, sch4)
         sx = shannon_entropy(w.sector_x, sch2)
         sy = shannon_entropy(w.sector_y, sch2)

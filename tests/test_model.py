@@ -24,8 +24,16 @@ def test_lambda_kappa_values():
     assert p.big_omega == pytest.approx(1.0, rel=1e-15)
 
 
+def test_big_omega_is_exact_with_one_frequency():
+    # with no field it is omega0 itself, and with no trap omega; 2 lam kappa
+    # gives 1 + 2^-52 for the unit trap, which moves a far centre by 4e-6
+    for omega0 in (1.0, 0.7, 3.0):
+        assert SystemParams(kind=SystemKind.HO_FIELD, omega0=omega0).big_omega == omega0
+    assert SystemParams(kind=SystemKind.FREE_FIELD, b0=1.0).big_omega == 0.5
+
+
 def test_big_omega_invariant_random_params():
-    # Omega = 2 lam kappa must equal sqrt(omega^2 + omega0^2) to rounding
+    # sqrt(omega^2 + omega0^2) must equal 2 lam kappa to rounding
     rng = np.random.default_rng(7)
     for _ in range(100):
         p = SystemParams(
@@ -35,7 +43,7 @@ def test_big_omega_invariant_random_params():
             b0=rng.uniform(0.0, 3.0),
             omega0=rng.uniform(0.0, 3.0),
         )
-        assert p.big_omega == pytest.approx(math.hypot(p.omega, p.omega0), rel=1e-12)
+        assert p.big_omega == pytest.approx(2.0 * p.lam * p.kappa, rel=1e-12)
 
 
 @pytest.mark.parametrize("kwargs", [

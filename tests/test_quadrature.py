@@ -79,22 +79,22 @@ def test_scheme_validation():
 
 
 def test_node_budget_rejects_before_allocating(monkeypatch):
-    # the first axis and the smallest chunk, one first-axis slab or a 1D
-    # axis whole, are each held in memory at once
-    monkeypatch.setattr(quad, "_CHUNK_LIMIT", 64)
+    # the whole grid is held in memory at once, so its node count is bounded
+    monkeypatch.setattr(quad, "_NODE_LIMIT", 64)
 
     def ones(*coords):
         return np.ones(np.broadcast_shapes(*(np.shape(c) for c in coords)))
 
-    assert integrate(ones, 3, box_scheme((64, 8, 8), [(0.0, 1.0)] * 3)) == pytest.approx(1.0)
+    assert integrate(ones, 3, box_scheme((4, 4, 4), [(0.0, 1.0)] * 3)) == pytest.approx(1.0)
+    assert integrate(ones, 1, box_scheme((64,), [(0.0, 1.0)])) == pytest.approx(1.0)
 
     def no_axes(scheme):
         raise AssertionError("nodes were built for a rejected scheme")
 
     monkeypatch.setattr(quad, "_axes", no_axes)
-    for orders in ((2, 9, 8), (65, 2), (65,)):
+    for orders in ((2, 9, 4), (5, 13), (65,)):
         sch = box_scheme(orders, [(0.0, 1.0)] * len(orders))
-        with pytest.raises(ValueError, match="smallest chunk"):
+        with pytest.raises(ValueError, match=f"grid has {math.prod(orders)} nodes"):
             integrate(ones, len(orders), sch)
 
 
@@ -120,36 +120,23 @@ def test_overflowing_weighted_sum_is_not_finite():
         integrate(lambda x, y: np.ones(np.broadcast(x, y).shape), 2, sch)
 
 
-def test_chunked_matches_unchunked(monkeypatch):
-    sch = hermite_scheme((40, 40))
-    whole = integrate(gauss2, 2, sch)
-    monkeypatch.setattr(quad, "_CHUNK_LIMIT", 64)
-    pieces = integrate(gauss2, 2, sch)
-    assert pieces == pytest.approx(whole, rel=1e-13)
-
-
 def test_chunked_error_names_every_coordinate():
-    # 46^4 nodes are above the chunk limit, so the first axis runs one node
-    # per chunk; the inf sits in the first chunk, which is the only one run
-    sch = box_scheme((46,) * 4, [(-1.0, 1.0)] * 4)
-    assert math.prod(sch.orders) > quad._CHUNK_LIMIT
+    # the whole 4D grid is one call of f; the first inf in C order is named
+    # by all four of its coordinates
+    sch = box_scheme((8,) * 4, [(-1.0, 1.0)] * 4)
     calls = []
 
     def spike(x, y, px, py):
-        calls.append(np.shape(x))
-        return np.where((x < -0.97) & (y < -0.97), np.inf, 1.0) + 0.0 * (px + py)
+        calls.append(np.broadcast_shapes(*map(np.shape, (x, y, px, py))))
+        return np.where((x < -0.8) & (y < -0.8), np.inf, 1.0) + 0.0 * (px + py)
 
     with pytest.raises(NonFiniteIntegrandError) as err:
         integrate(spike, 4, sch)
-    assert calls == [(1, 1, 1, 1)]
-    node = str(err.value).split("node ", 1)[1]
-    assert node.count(",") == 3
-    assert node.startswith("(-0.978")
+    assert calls == [(8, 8, 8, 8)]
+    assert str(err.value).endswith("node (-0.875, -0.875, -0.875, -0.875)")
 
 
-@pytest.mark.parametrize("limit", [10 ** 6, 64], ids=["one-chunk", "per-node"])
-def test_integrate_returns_float(monkeypatch, limit):
-    monkeypatch.setattr(quad, "_CHUNK_LIMIT", limit)
+def test_integrate_returns_float():
     val = integrate(gauss2, 2, hermite_scheme((12, 12)))
     assert type(val) is float
     assert val == pytest.approx(math.pi, rel=1e-12)
