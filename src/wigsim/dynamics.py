@@ -98,10 +98,9 @@ def flow_map(params: SystemParams, t):
 
 def _offset(m: np.ndarray, b, omega: float, big_omega: float, t, initial: PhasePoint) -> np.ndarray:
     """d = (M - I) z0 + b, the flow's displacement from z0, with the time shape
-    broadcast against the initial point's; rejects a non-finite z0.  M - I is
-    formed directly, so that a far z0 keeps its displacement: each diagonal
-    entry cos(big_omega t) cos(omega t) - 1 is taken as
-    -2 sin^2(big_omega t/2) cos(omega t) - 2 sin^2(omega t/2)."""
+    broadcast against the initial point's; rejects a non-finite z0.  M - I is formed
+    directly so that a far z0 keeps its displacement: its diagonal cos(big_omega t)
+    cos(omega t) - 1 is -2 sin^2(big_omega t/2) cos(omega t) - 2 sin^2(omega t/2)."""
     z0 = initial.as_array()
     if not np.all(np.isfinite(z0)):
         raise ValueError("initial point must be finite")
@@ -113,14 +112,15 @@ def _offset(m: np.ndarray, b, omega: float, big_omega: float, t, initial: PhaseP
     return np.einsum("...ij,...j->...i", m, z0) + b
 
 
+def _displacement(params: SystemParams, initial: PhasePoint, t) -> np.ndarray:
+    """d = z(t) - z0 under the exact flow of params (see _offset)."""
+    return _offset(*flow_map(params, t), params.omega, params.big_omega, t, initial)
+
+
 def evolve(params: SystemParams, initial: PhasePoint, t) -> PhasePoint:
     """Phase-space point(s) at time(s) t under the exact flow of params,
-    starting from initial.
-
-    Covers every kind, including the field-free limits: a FREE_FIELD or
-    GQW_FIELD system with b0 = 0 moves ballistically.  The point is z0 + d,
-    with d the displacement that fidelity_curve measures.
-    """
-    d = _offset(*flow_map(params, t), params.omega, params.big_omega, t, initial)
-    z = initial.as_array() + d
+    starting from initial: z0 + d, with d the displacement fidelity_curve
+    measures.  Covers every kind, including the field-free limits: a
+    FREE_FIELD or GQW_FIELD system with b0 = 0 moves ballistically."""
+    z = initial.as_array() + _displacement(params, initial, t)
     return PhasePoint(*(_unwrap_scalar(z[..., k]) for k in range(4)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quadrature
 # evolve stays importable from here: wigbench/spans.py wraps it as measures.evolve
-from .dynamics import _offset, _quadratic_map, evolve, flow_map
+from .dynamics import _displacement, _offset, _quadratic_map, evolve
 from .model import NumericalError, PhasePoint, SystemKind, SystemParams
 from .specfun import _unwrap_scalar, gauss_hermite
 from .wigner import LandauState, StationaryHOState
@@ -128,7 +128,7 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
         d = _offset(_quadratic_map(params.omega, 1.0, 1.0, times), 0.0, params.omega, 1.0,
                     times, c0)
     else:
-        d = _offset(*flow_map(params, times), params.omega, params.big_omega, times, c0)
+        d = _displacement(params, c0, times)
     if not np.isfinite(d).all():
         raise NumericalError("evolved center is not finite: the flow overflows")
     closed = np.exp(-0.5 * np.sum(d * d, axis=-1))

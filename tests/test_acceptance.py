@@ -74,11 +74,14 @@ def test_criterion_02_trap_beating_structure():
     p0 = _params(SystemKind.HO_FIELD, 0.0)
     dense = np.linspace(0.0, 4 * np.pi, 4001)
     f = fidelity_gaussian_closed(C0, evolve(p0, C0, dense))
-    # the grid holds two periods, whose minima at pi and 3 pi are equal but for
-    # rounding, so the lowest sample may be either: it lies at pi modulo 2 pi
-    k = int(np.argmin(f))
-    min_at_pi = abs(math.remainder(dense[k] - np.pi, 2 * np.pi)) <= dense[1] and \
-        abs(float(f[k]) - math.exp(-8.0)) <= 1e-9
+
+    # the grid holds two periods, [0, 2 pi] and [2 pi, 4 pi] of 2001 samples each:
+    # the lowest sample of each lies one grid step from its pi or 3 pi, at exp(-8)
+    def min_in_period(period, at):
+        k = 2000 * period + int(np.argmin(f[2000 * period:2000 * period + 2001]))
+        return abs(dense[k] - at) <= dense[1] and abs(float(f[k]) - math.exp(-8.0)) <= 1e-9
+
+    min_at_pi = min_in_period(0, np.pi) and min_in_period(1, 3 * np.pi)
     shift = fidelity_gaussian_closed(C0, evolve(p0, C0, dense[:1000] + 2 * np.pi))
     periodic = float(np.max(np.abs(shift - f[:1000]))) <= 1e-9
 

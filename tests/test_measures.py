@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wigsim import measures
+from wigsim import dynamics, measures
 from wigsim.dynamics import evolve
 from wigsim.measures import (
     EntropyConvention,
@@ -221,7 +221,8 @@ class TestFidelityCurve:
         def no_flow(*args):
             raise AssertionError("the flow was built for an out-of-range initial point")
 
-        monkeypatch.setattr(measures, "flow_map", no_flow)
+        # every flow builds its M here, through either module's name for it
+        monkeypatch.setattr(dynamics, "_quadratic_map", no_flow)
         monkeypatch.setattr(measures, "_quadratic_map", no_flow)
         p = SystemParams(kind=SystemKind.HO_FIELD, b0=0.5, omega0=1.0)
         for c0 in (PhasePoint(1e300, 0.0, 0.0, 0.0), PhasePoint(0.0, 0.0, 0.0, -2.0 ** 510)):
