@@ -27,8 +27,7 @@ from .dynamics import evolve
 from .ncmap import (
     NCParams,
     auxiliary_s,
-    effective_b0_free,
-    effective_b0_ho,
+    effective_b0,
     gqw_nc_map,
     sigma_invertible,
 )
@@ -335,10 +334,8 @@ def _run_ncmap(ns):
     nc = NCParams(theta=ns.theta, eta=ns.eta, mu=ns.mu, nu=ns.nu)
     params = _make_params(ns, 0.0)
     row = {"map": ns.system, "theta": ns.theta, "eta": ns.eta, "mu": ns.mu, "nu": ns.nu}
-    if ns.system == "ho":
-        row["b0_effective"] = effective_b0_ho(nc, params)
-    elif ns.system == "free":
-        row["b0_effective"] = effective_b0_free(nc, params)
+    if ns.system in ("ho", "free"):
+        row["b0_effective"] = effective_b0(nc, params)
     else:
         b_eff, shift = gqw_nc_map(nc, params)
         row["b0_effective"] = b_eff

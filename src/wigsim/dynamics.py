@@ -29,20 +29,16 @@ def _quadratic_map(omega: float, big_omega: float, mass: float, t) -> np.ndarray
 
     M = W (x) R: the oscillation W at big_omega, with position/momentum
     weight mass * big_omega, acts on the (position, momentum) pair, and the
-    field rotation R at omega acts within each plane.  big_omega = 0 is the
-    ballistic limit sin(big_omega t) / (mass big_omega) -> t / mass.  Every
+    field rotation R at omega acts within each plane.  sin(big_omega t) / (mass
+    big_omega) = t sinc(big_omega t / pi) / mass is t / mass at big_omega = 0.  Every
     flow takes its times here, so this is where a non-finite time is rejected.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("times must be finite")
-    if big_omega > 0:
-        c = np.cos(big_omega * t)
-        s = np.sin(big_omega * t)
-        w = np.array([[c, s / (mass * big_omega)], [-(mass * big_omega) * s, c]])
-    else:
-        one = np.ones_like(t)
-        w = np.array([[one, t / mass], [np.zeros_like(t), one]])
+    c = np.cos(big_omega * t)
+    s = np.sin(big_omega * t)
+    w = np.array([[c, t * np.sinc(big_omega * t / math.pi) / mass], [-(mass * big_omega) * s, c]])
     cw = np.cos(omega * t)
     sw = np.sin(omega * t)
     r = np.array([[cw, sw], [-sw, cw]])
@@ -71,8 +67,8 @@ def flow_map(params: SystemParams, t):
     and is the gravitational drift, zero without gravity.  With a field
     (omega > 0) the drift is a uniform motion perpendicular to gravity,
     velocity -g / (2 omega) along x, with the secular momentum loss
-    -m g t / 2 in py and oscillatory parts closing at 2 omega; without one it
-    is the ballistic drop.
+    -m g t / 2 in py and oscillatory parts closing at 2 omega; at omega = 0,
+    where sin(omega t) / omega = t sinc(omega t / pi) is t, it is the ballistic drop.
     """
     t = np.asarray(t, dtype=float)
     m = _quadratic_map(params.omega, params.big_omega, params.mass, t)
@@ -82,17 +78,13 @@ def flow_map(params: SystemParams, t):
         # SystemParams puts gravity only on untrapped systems, so big_omega = omega
         mass = params.mass
         w = params.omega
-        if w > 0:
-            # no differences that cancel as w t -> 0; sin(w t) / w is t to rounding below 1e-8
-            s, c = np.sin(w * t), np.cos(w * t)
-            s_w = np.where(np.abs(w * t) < 1e-8, t, s / w)
-            b[0] = -g * t * (t * _drift_shape(2.0 * w * t))
-            b[1] = -0.5 * g * s_w * s_w
-            b[2] = -0.5 * mass * g * s * s_w
-            b[3] = -0.5 * mass * g * (t + c * s_w)
-        else:
-            b[1] = -0.5 * g * t * t
-            b[3] = -mass * g * t
+        # nothing cancels as w t -> 0, and b[0] stays 0 at w = 0 even where g t overflows
+        s, c = np.sin(w * t), np.cos(w * t)
+        s_w = t * np.sinc(w * t / math.pi)
+        b[0] = -g * (t * (t * _drift_shape(2.0 * w * t)))
+        b[1] = -0.5 * g * s_w * s_w
+        b[2] = -0.5 * mass * g * s * s_w
+        b[3] = -0.5 * mass * g * (t + c * s_w)
     return m, np.moveaxis(b, 0, -1)
 
 

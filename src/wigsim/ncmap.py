@@ -16,8 +16,7 @@ from .model import PhasePoint, SystemParams
 
 __all__ = [
     "NCParams",
-    "effective_b0_ho",
-    "effective_b0_free",
+    "effective_b0",
     "CoordinateShift",
     "gqw_nc_map",
     "auxiliary_s",
@@ -53,23 +52,13 @@ def _ratio(numerator: Fraction, *factors: float) -> float:
         raise ValueError("noncommutative map value overflows a float") from None
 
 
-def effective_b0_ho(nc: NCParams, params: SystemParams) -> float:
-    """Effective field of the deformed trapped system:
-    B_eff = m^2 omega0^2 theta / (q hbar) + eta / (q hbar)."""
+def effective_b0(nc: NCParams, params: SystemParams) -> float:
+    """Effective field of the deformed system, B_eff = (m^2 omega0^2 theta + eta) / (q hbar);
+    without a trap (omega0 = 0: the free and gravitational systems) theta drops out."""
     if params.charge == 0:
         raise ValueError("effective field requires a nonzero charge")
-    if not params.omega0 > 0:
-        raise ValueError("trapped-system map requires omega0 > 0")
     trap = Fraction(params.mass) * Fraction(params.omega0)
     return _ratio(trap * trap * Fraction(nc.theta) + Fraction(nc.eta), params.charge, params.hbar)
-
-
-def effective_b0_free(nc: NCParams, params: SystemParams) -> float:
-    """Effective field of the deformed free (or gravitational) system:
-    B_eff = eta / (q hbar); theta drops out of the field strength."""
-    if params.charge == 0:
-        raise ValueError("effective field requires a nonzero charge")
-    return _ratio(Fraction(nc.eta), params.charge, params.hbar)
 
 
 @dataclass(frozen=True)
@@ -86,7 +75,7 @@ class CoordinateShift:
 def gqw_nc_map(nc: NCParams, params: SystemParams) -> tuple[float, CoordinateShift]:
     """Map of the deformed gravitational system: effective field
     eta/(q hbar) plus the x reshaping x -> nu x - theta/(2 nu hbar) py."""
-    b_eff = effective_b0_free(nc, params)
+    b_eff = effective_b0(nc, params)
     shear = -_ratio(Fraction(nc.theta), 2.0, nc.nu, params.hbar)
     return b_eff, CoordinateShift(scale_x=nc.nu, shear_x_from_py=shear)
 

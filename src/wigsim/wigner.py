@@ -160,9 +160,11 @@ class StationaryHOState(ProductState):
 
 def ho_energy(n1, n2, params: SystemParams):
     """E_{n1,n2} = hbar [big_omega (n1 + n2 + 1) + omega (n1 - n2)], also
-    over integer arrays n1, n2 that broadcast."""
+    over integer arrays n1, n2 that broadcast; big_omega = 0 is a continuum."""
     if np.any(np.asarray(n1) < 0) or np.any(np.asarray(n2) < 0):
         raise ValueError("quantum numbers must be nonnegative")
+    if not params.big_omega > 0:
+        raise ValueError("the trap ladder requires big_omega > 0")
     return params.hbar * (params.big_omega * (n1 + n2 + 1) + params.omega * (n1 - n2))
 
 

@@ -22,7 +22,7 @@ from wigsim import measures, quadrature
 from wigsim.dynamics import evolve
 from wigsim.measures import EntropyConvention, entropy_vs_field, shannon_entropy
 from wigsim.model import PhasePoint, SystemKind, SystemParams
-from wigsim.ncmap import NCParams, auxiliary_s, effective_b0_ho, sigma_invertible
+from wigsim.ncmap import NCParams, auxiliary_s, effective_b0, sigma_invertible
 from wigsim.wigner import (
     GaussianWigner,
     GQWState,
@@ -278,7 +278,7 @@ def test_criterion_10_rotating_frame_identity():
 
 def test_criterion_11_parameter_map_round_trip(capsys):
     ps = SystemParams(kind=SystemKind.HO_FIELD, b0=0.0, omega0=1.0)
-    spot = (abs(effective_b0_ho(NCParams(theta=0.1, eta=0.2), ps) - 0.3) <= 1e-15
+    spot = (abs(effective_b0(NCParams(theta=0.1, eta=0.2), ps) - 0.3) <= 1e-15
             and auxiliary_s(2.0, 0.25) == 1.0
             and not sigma_invertible(NCParams(theta=1.0, eta=1.0), 1.0)
             and sigma_invertible(NCParams(theta=1.0, eta=0.5), 1.0))

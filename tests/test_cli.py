@@ -377,6 +377,15 @@ def test_ncmap_effective_field(capsys):
     assert rows[0]["s_aux"] == "0"
 
 
+@pytest.mark.parametrize("system, extra", [("ho", ("--omega0", "0")), ("free", ())])
+def test_ncmap_without_trap_is_the_free_map(capsys, system, extra):
+    # the trap map at omega0 = 0 is eta / (q hbar), the free map
+    code, out, err = run_cli(capsys, "ncmap", "--system", system, *extra, "--eta", "0.2")
+    assert code == 0, err
+    _, _, rows = parse_csv(out)
+    assert rows[0]["b0_effective"] == "0.2"
+
+
 def test_ncmap_gqw_shift_columns(capsys):
     code, out, err = run_cli(
         capsys, "ncmap", "--system", "gqw", "--theta", "0.4", "--eta", "0.3",
@@ -405,6 +414,15 @@ def test_spectrum_free_requires_positive_field(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--system", "free", "--b0", "0")
     assert code == 2
     assert "E_RANGE" in err
+
+
+def test_spectrum_trap_requires_a_trap_or_field(capsys):
+    # omega0 = 0 at b0 = 0 is big_omega = 0, where the ladder is a continuum
+    code, out, err = run_cli(
+        capsys, "spectrum", "--system", "ho", "--omega0", "0", "--b0", "0,0.5", "--n-max", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: E_RANGE: ") and err.count("\n") == 1
 
 
 def test_spectrum_trap_energies(capsys):

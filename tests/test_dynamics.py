@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wigsim.dynamics import evolve, flow_map
+from wigsim.dynamics import _quadratic_map, evolve, flow_map
 from wigsim.model import PhasePoint, SystemKind, SystemParams
 
 from oracles import (
@@ -319,3 +319,36 @@ def test_weak_field_drift_tends_to_ballistic_drop(mass, b0, g, t):
     _, drop = flow_map(SystemParams(kind=SystemKind.GQW_BALLISTIC, mass=mass, g=g), t)
     scale = g * t * t + mass * g * abs(t)
     assert np.abs(b - drop).max() <= (field.omega * abs(t) + 1e-15) * scale
+
+
+@_PROPERTY
+@given(st.sampled_from([SystemKind.FREE_FIELD, SystemKind.GQW_BALLISTIC]),
+       st.floats(0.2, 5.0), st.floats(0.0, 5.0), st.floats(-1e3, 1e3))
+def test_flow_map_is_the_closed_ballistic_form(kind, mass, g, t):
+    # big_omega = omega = 0: M = [[1, t/m], [0, 1]] (x) I and b = (0, -g t^2/2, 0, -m g t),
+    # each entry within 1 ulp (the general formulas may give a zero of the other sign)
+    g = g if kind is SystemKind.GQW_BALLISTIC else 0.0
+    m, b = flow_map(SystemParams(kind=kind, mass=mass, g=g), t)
+    want_m = np.kron([[1.0, t / mass], [0.0, 1.0]], np.eye(2))
+    want_b = np.array([0.0, -g * t * t / 2, 0.0, -mass * g * t])
+    for got, want in ((m, want_m), (b, want_b)):
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
+def test_quadratic_map_position_momentum_entry_against_mpmath():
+    # sin(big_omega t) / (m big_omega), t / m at big_omega = 0, at 30 digits; the
+    # rounding of big_omega t makes the error of order 2^-52 |t| / m, not of the entry
+    import mpmath
+    rng = np.random.default_rng(28)
+    n = 400
+    big_omegas = np.where(np.arange(n) % 4 == 0, 0.0, rng.uniform(0.0, 5.0, n))
+    masses = rng.uniform(0.2, 5.0, n)
+    times = rng.uniform(-1e3, 1e3, n) * 10.0 ** -rng.integers(0, 8, n)
+    with mpmath.workdps(30):
+        for big_omega, mass, t in zip(big_omegas.tolist(), masses.tolist(), times.tolist()):
+            got = _quadratic_map(0.0, big_omega, mass, t)[0, 2]
+            if big_omega:
+                want = mpmath.sin(mpmath.mpf(big_omega) * t) / (mpmath.mpf(mass) * big_omega)
+            else:
+                want = mpmath.mpf(t) / mass
+            assert abs(got - want) <= 4 * 2.0 ** -52 * abs(t) / mass

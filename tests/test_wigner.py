@@ -143,6 +143,12 @@ class TestStationaryHO:
         with pytest.raises(ValueError):
             ho_energy(n1, n2 - 1, p)
 
+    def test_energy_rejects_the_continuum(self):
+        # no trap and no field: big_omega = 0 and the ladder is a continuum
+        with pytest.raises(ValueError, match="big_omega"):
+            ho_energy(0, 0, trap_params(b0=0.0, omega0=0.0))
+        assert ho_energy(0, 0, trap_params(b0=0.5, omega0=0.0)) == 0.25
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StationaryHOState(-1, 0, trap_params())
