@@ -56,10 +56,6 @@ class ConfigError(Exception):
     """Malformed config input (unknown key, bad syntax, unreadable file)."""
 
 
-class NonFiniteCellError(NumericalError):
-    """A table cell came out as NaN or infinity."""
-
-
 def _float_list(text: str):
     items = []
     for tok in text.split(","):
@@ -333,12 +329,10 @@ def _run_spectrum(ns):
 def _run_ncmap(ns):
     nc = NCParams(theta=ns.theta, eta=ns.eta, mu=ns.mu, nu=ns.nu)
     params = _make_params(ns, 0.0)
-    row = {"map": ns.system, "theta": ns.theta, "eta": ns.eta, "mu": ns.mu, "nu": ns.nu}
-    if ns.system in ("ho", "free"):
-        row["b0_effective"] = effective_b0(nc, params)
-    else:
-        b_eff, shift = gqw_nc_map(nc, params)
-        row["b0_effective"] = b_eff
+    row = {"map": ns.system, "theta": ns.theta, "eta": ns.eta, "mu": ns.mu, "nu": ns.nu,
+           "b0_effective": effective_b0(nc, params)}
+    if ns.system == "gqw":
+        shift = gqw_nc_map(nc, params)
         row["x_scale"] = shift.scale_x
         row["x_shear_from_py"] = shift.shear_x_from_py
         row["x0_mapped"] = shift.apply(_initial_point(ns)).x
@@ -381,7 +375,7 @@ def _column(name: str, column, fmt: str):
     if column.dtype.kind != "f":
         return list(map(_text if fmt == "csv" else json.dumps, column.tolist())), "%s"
     if not np.isfinite(column).all():
-        raise NonFiniteCellError(f"column {name!r} has a non-finite value")
+        raise NumericalError(f"column {name!r} has a non-finite value")
     if fmt == "csv":
         return column.tolist(), "%.12g"
     return list(map(float, map("%.12g".__mod__, column.tolist()))), "%r"

@@ -23,7 +23,6 @@ from .specfun import _unwrap_scalar, gauss_hermite
 from .wigner import LandauState, StationaryHOState
 
 __all__ = [
-    "WignerNegativityError",
     "fidelity_quadrature",
     "fidelity_ho_paper",
     "FidelityCurve",
@@ -37,17 +36,13 @@ __all__ = [
 _NEGATIVITY_FLOOR = -1e-12
 
 
-class WignerNegativityError(NumericalError):
-    """A state passed to the overlap quadrature is genuinely negative."""
-
-
 def _checked_nonnegative(state, coords, label: str) -> np.ndarray:
     vals = np.asarray(state.value(*coords), dtype=float)
     if np.min(vals) < _NEGATIVITY_FLOOR:
         idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
         grids = [np.broadcast_to(np.asarray(c, dtype=float), vals.shape) for c in coords]
         node = tuple(float(g[idx]) for g in grids)
-        raise WignerNegativityError(
+        raise NumericalError(
             f"{label} ({type(state).__name__}) is negative at node {node}: {vals[idx]:.3e}"
         )
     return np.where(vals > 0.0, vals, 0.0)
@@ -57,8 +52,8 @@ def fidelity_quadrature(w1, w2, scheme: quadrature.QuadratureScheme) -> float:
     """F = [integral sqrt(W1 W2)]^2 on the given scheme (4D, or 2D for sectors).
 
     Both states must be pointwise nonnegative; rounding-level dips (above
-    -1e-12) are clamped to zero, anything lower raises
-    WignerNegativityError naming the state and node.
+    -1e-12) are clamped to zero, anything lower raises NumericalError
+    naming the state and node.
     """
 
     def integrand(*coords):

@@ -72,12 +72,11 @@ class CoordinateShift:
         return point._replace(x=self.scale_x * point.x + self.shear_x_from_py * point.py)
 
 
-def gqw_nc_map(nc: NCParams, params: SystemParams) -> tuple[float, CoordinateShift]:
-    """Map of the deformed gravitational system: effective field
-    eta/(q hbar) plus the x reshaping x -> nu x - theta/(2 nu hbar) py."""
-    b_eff = effective_b0(nc, params)
+def gqw_nc_map(nc: NCParams, params: SystemParams) -> CoordinateShift:
+    """The x reshaping x -> nu x - theta/(2 nu hbar) py of the deformed
+    gravitational system; its field is effective_b0's."""
     shear = -_ratio(Fraction(nc.theta), 2.0, nc.nu, params.hbar)
-    return b_eff, CoordinateShift(scale_x=nc.nu, shear_x_from_py=shear)
+    return CoordinateShift(scale_x=nc.nu, shear_x_from_py=shear)
 
 
 def auxiliary_s(mu: float, nu: float) -> float:

@@ -24,15 +24,10 @@ __all__ = [
     "hermite_scheme",
     "box_scheme",
     "integrate",
-    "NonFiniteIntegrandError",
 ]
 
 # most nodes in one grid, which integrate evaluates as one block
 _NODE_LIMIT = 2 ** 22
-
-
-class NonFiniteIntegrandError(NumericalError):
-    """Integrand, or its weighted sum, came out NaN or inf."""
 
 
 class SchemeKind(enum.Enum):
@@ -56,7 +51,7 @@ class QuadratureScheme:
     def __post_init__(self):
         if len(self.orders) == 0:
             raise ValueError("scheme needs at least one axis")
-        if any(int(n) != n or n < 1 for n in self.orders):
+        if any(not isinstance(n, (int, np.integer)) or n < 1 for n in self.orders):
             raise ValueError("orders must be positive integers")
         if len(self.pairs) != len(self.orders):
             raise ValueError("scheme needs one (a, b) pair per axis")
@@ -79,7 +74,7 @@ class QuadratureScheme:
 def hermite_scheme(orders: Sequence[int], centers: Sequence[float] | None = None,
                    scales: Sequence[float] | None = None) -> QuadratureScheme:
     """Gauss-Hermite tensor scheme; centers default to 0, scales to 1."""
-    orders = tuple(int(n) for n in orders)
+    orders = tuple(orders)
     centers = (0.0,) * len(orders) if centers is None else centers
     scales = (1.0,) * len(orders) if scales is None else scales
     if len(centers) != len(orders) or len(scales) != len(orders):
@@ -90,7 +85,7 @@ def hermite_scheme(orders: Sequence[int], centers: Sequence[float] | None = None
 
 def box_scheme(orders: Sequence[int], bounds: Sequence[tuple]) -> QuadratureScheme:
     """Uniform midpoint rule on a product of intervals."""
-    return QuadratureScheme(SchemeKind.UNIFORM_BOX, tuple(int(n) for n in orders),
+    return QuadratureScheme(SchemeKind.UNIFORM_BOX, tuple(orders),
                             tuple((float(lo), float(hi)) for lo, hi in bounds))
 
 
@@ -130,10 +125,10 @@ def integrate(f: Callable, dims: int, scheme: QuadratureScheme) -> float:
     if not np.all(np.isfinite(vals)):
         idx = np.argwhere(~np.isfinite(vals))[0]
         node = tuple(float(nodes[i]) for (nodes, _), i in zip(axes, idx))
-        raise NonFiniteIntegrandError(f"integrand not finite at node {node}")
+        raise NumericalError(f"integrand not finite at node {node}")
     for axis in range(dims - 1, -1, -1):
         vals = np.tensordot(vals, axes[axis][1], axes=([axis], [0]))
     total = float(vals)
     if not math.isfinite(total):
-        raise NonFiniteIntegrandError(f"weighted sum of the integrand not finite: {total}")
+        raise NumericalError(f"weighted sum of the integrand not finite: {total}")
     return total

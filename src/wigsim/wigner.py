@@ -19,7 +19,6 @@ from .model import NumericalError, PhasePoint, SystemKind, SystemParams
 from .specfun import _unwrap_scalar, airy_ai, airy_zero, laguerre
 
 __all__ = [
-    "TruncationError",
     "GaussianWigner",
     "StationaryHOState",
     "LandauState",
@@ -30,10 +29,6 @@ __all__ = [
     "normalize_gqw",
     "stargen_residual",
 ]
-
-
-class TruncationError(NumericalError):
-    """Declared domain too small: the truncated integral has not converged."""
 
 
 class HOSector:
@@ -161,8 +156,8 @@ class StationaryHOState(ProductState):
 def ho_energy(n1, n2, params: SystemParams):
     """E_{n1,n2} = hbar [big_omega (n1 + n2 + 1) + omega (n1 - n2)], also
     over integer arrays n1, n2 that broadcast; big_omega = 0 is a continuum."""
-    if np.any(np.asarray(n1) < 0) or np.any(np.asarray(n2) < 0):
-        raise ValueError("quantum numbers must be nonnegative")
+    if any(np.asarray(n).dtype.kind not in "iu" or np.any(np.asarray(n) < 0) for n in (n1, n2)):
+        raise ValueError("quantum numbers must be nonnegative integers")
     if not params.big_omega > 0:
         raise ValueError("the trap ladder requires big_omega > 0")
     return params.hbar * (params.big_omega * (n1 + n2 + 1) + params.omega * (n1 - n2))
@@ -207,8 +202,8 @@ class LandauState(ProductState):
 
 def landau_energy(n, params: SystemParams):
     """E_n = hbar omega (2n + 1), for a level index or an integer array of them."""
-    if np.any(np.asarray(n) < 0):
-        raise ValueError("Landau index must be nonnegative")
+    if np.asarray(n).dtype.kind not in "iu" or np.any(np.asarray(n) < 0):
+        raise ValueError("Landau index must be a nonnegative integer")
     if not params.omega > 0:
         raise ValueError("Landau ladder requires omega > 0")
     return params.hbar * params.omega * (2 * n + 1)
@@ -311,7 +306,7 @@ def normalize_gqw(state: GQWState) -> float:
 
     Convergence of the truncation is checked on the tail box
     [y_max, 2 y_max] at the same node spacing: a tail mass above 1e-6 of the
-    total raises TruncationError.
+    total raises NumericalError.
     """
     m = state.params.mass
     g = state.params.g
@@ -325,7 +320,7 @@ def normalize_gqw(state: GQWState) -> float:
     total = quadrature.integrate(unnormalized, 2, box)
     tail = quadrature.box_scheme((256, 256), [(state.y_max, 2.0 * state.y_max), p_bounds])
     if abs(quadrature.integrate(unnormalized, 2, tail)) > 1e-6 * abs(total):
-        raise TruncationError(
+        raise NumericalError(
             "y-sector mass has not converged on the declared domain; increase y_max"
         )
     if not total > 0:

@@ -1,20 +1,19 @@
 """Independent numerical routes used to pin expected values.
 
-Nothing here reuses the package's closed-form or series implementations,
-with one exception: paper_form_point applies the package's quadratic map to
-a point itself, as the printed family's definition, without the package's
-routine that applies the flow.  hamiltonian_value and canonical_rhs state the
-Hamiltonian and its canonical equations directly; ode_residual and
-flow_jacobian difference the package's evolve, the flow under test, and
-compare it with them.  flow_generator_mp and hermite_fidelity_mp
-recompute a fidelity sample in mpmath from the canonical equations alone.
+Nothing here reuses the package's closed-form or series implementations:
+paper_form_point writes the printed family's trajectory in complex form,
+and hamiltonian_value and canonical_rhs state the Hamiltonian and its
+canonical equations directly; ode_residual and flow_jacobian difference the
+package's evolve, the flow under test, and compare it with them.
+flow_generator_mp and hermite_fidelity_mp recompute a fidelity sample in
+mpmath from the canonical equations alone.
 """
 
 import math
 
 import numpy as np
 
-from wigsim.dynamics import _quadratic_map, evolve
+from wigsim.dynamics import evolve
 from wigsim.model import PhasePoint, SystemParams
 from wigsim.specfun import _unwrap_scalar
 
@@ -191,10 +190,16 @@ def paper_form_point(omega, t, c0: PhasePoint) -> PhasePoint:
 
     Rotation at omega composed with unit-frequency oscillation carrying unit
     position/momentum weights (the omega0 = 1 family with the lam/kap ratio
-    replaced by 1).
+    replaced by 1).  With zeta = x + i y and pi = px + i py:
+    zeta(t) = e^{-i omega t} (zeta0 cos t + pi0 sin t),
+    pi(t) = e^{-i omega t} (pi0 cos t - zeta0 sin t).
     """
-    z = np.einsum("...ij,...j->...i", _quadratic_map(omega, 1.0, 1.0, t), c0.as_array())
-    return PhasePoint(*(_unwrap_scalar(z[..., k]) for k in range(4)))
+    t = np.asarray(t, dtype=float)
+    zeta0, pi0 = complex(c0.x, c0.y), complex(c0.px, c0.py)
+    turn = np.exp(-1j * omega * t)
+    zeta = turn * (zeta0 * np.cos(t) + pi0 * np.sin(t))
+    pi = turn * (pi0 * np.cos(t) - zeta0 * np.sin(t))
+    return PhasePoint(*(_unwrap_scalar(v) for v in (zeta.real, zeta.imag, pi.real, pi.imag)))
 
 
 def flow_generator_mp(mass, charge, b0, omega0, gravity, unit_weights=False):

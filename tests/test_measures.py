@@ -11,14 +11,13 @@ from wigsim import dynamics, measures
 from wigsim.dynamics import evolve
 from wigsim.measures import (
     EntropyConvention,
-    WignerNegativityError,
     entropy_vs_field,
     fidelity_curve,
     fidelity_ho_paper,
     fidelity_quadrature,
     shannon_entropy,
 )
-from wigsim.model import PhasePoint, SystemKind, SystemParams
+from wigsim.model import NumericalError, PhasePoint, SystemKind, SystemParams
 from wigsim.quadrature import box_scheme, hermite_scheme, integrate
 from wigsim.wigner import Gaussian2D, GaussianWigner, LandauState, StationaryHOState
 
@@ -92,7 +91,7 @@ class TestFidelityQuadrature:
         p = SystemParams(kind=SystemKind.HO_FIELD, omega0=1.0)
         state = StationaryHOState(1, 0, p)
         w = GaussianWigner()
-        with pytest.raises(WignerNegativityError) as err:
+        with pytest.raises(NumericalError, match="is negative at node") as err:
             fidelity_quadrature(state, w, hermite_scheme((32,) * 4))
         assert "StationaryHOState" in str(err.value)
 
@@ -107,7 +106,7 @@ class TestFidelityQuadrature:
         w = GaussianWigner()
         bad = _Offset(1e-9)
         sch = hermite_scheme((32,) * 4)
-        with pytest.raises(WignerNegativityError):
+        with pytest.raises(NumericalError, match="is negative at node"):
             fidelity_quadrature(w, bad, sch)
 
 
@@ -125,8 +124,9 @@ class TestPaperForm:
     @pytest.mark.parametrize("t", [math.inf, np.array([0.0, math.nan, 1.0])],
                              ids=["scalar-inf", "array-nan"])
     def test_non_finite_time_rejected(self, t):
-        with pytest.raises(ValueError, match="finite"):
-            paper_form_point(0.5, t, C0)
+        params = SystemParams(kind=SystemKind.HO_FIELD, b0=1.0, omega0=1.0)
+        with pytest.raises(ValueError, match="times must be finite"):
+            fidelity_curve(params, C0, t, form="paper")
 
     def test_period_without_field(self):
         # omega = 0: pure oscillation, full revival at t = 2 pi
@@ -378,3 +378,9 @@ class TestEntropyVsField:
     def test_gravitational_kind_rejected(self):
         with pytest.raises(ValueError):
             entropy_vs_field([SystemParams(kind=SystemKind.GQW_BALLISTIC, b0=0.1)])
+
+    def test_non_integer_node_count_rejected(self):
+        # 41.9 nodes per axis is not read as 41
+        with pytest.raises(ValueError, match="orders must be positive integers"):
+            entropy_vs_field([SystemParams(kind=SystemKind.HO_FIELD, b0=0.5, omega0=1.0)],
+                             nodes_per_axis=41.9)

@@ -67,15 +67,16 @@ def test_trap_map_at_omega0_zero_is_the_free_map(mass, hbar, charge, theta, eta)
     for kind in (SystemKind.HO_FIELD, SystemKind.FREE_FIELD, SystemKind.GQW_FIELD):
         p = SystemParams(kind=kind, mass=mass, hbar=hbar, charge=charge)
         assert effective_b0(nc, p) == want
-    assert gqw_nc_map(nc, SystemParams(kind=SystemKind.GQW_BALLISTIC, mass=mass, hbar=hbar,
-                                       charge=charge, g=2.0))[0] == want
+    assert effective_b0(nc, SystemParams(kind=SystemKind.GQW_BALLISTIC, mass=mass, hbar=hbar,
+                                         charge=charge, g=2.0)) == want
 
 
 def test_gqw_map_field_and_shift():
     p = SystemParams(kind=SystemKind.GQW_FIELD, b0=0.0, g=2.0)
     nc = NCParams(theta=0.4, eta=0.3, nu=2.0)
-    b_eff, shift = gqw_nc_map(nc, p)
-    assert b_eff == pytest.approx(0.3, rel=1e-15)
+    assert effective_b0(nc, p) == pytest.approx(0.3, rel=1e-15)
+    shift = gqw_nc_map(nc, p)
+    assert isinstance(shift, CoordinateShift)
     assert shift.scale_x == 2.0
     assert shift.shear_x_from_py == pytest.approx(-0.1, rel=1e-14)
 

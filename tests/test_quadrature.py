@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import wigsim.quadrature as quad
+from wigsim.model import NumericalError
 from wigsim.quadrature import (
-    NonFiniteIntegrandError,
     box_scheme,
     hermite_scheme,
     integrate,
@@ -76,6 +76,11 @@ def test_scheme_validation():
     for center in (math.nan, math.inf):
         with pytest.raises(ValueError, match="centers must be finite"):
             hermite_scheme((8,), centers=(center,))
+    # an order that is not an integer is rejected, not truncated
+    with pytest.raises(ValueError, match="orders must be positive integers"):
+        box_scheme((2.7,), [(0, 1)])
+    with pytest.raises(ValueError, match="orders must be positive integers"):
+        hermite_scheme((2.7,))
 
 
 def test_node_budget_rejects_before_allocating(monkeypatch):
@@ -106,7 +111,7 @@ def test_nonfinite_integrand_reports_node():
         out[x > 0.5] = np.nan
         return out
 
-    with pytest.raises(NonFiniteIntegrandError) as err:
+    with pytest.raises(NumericalError) as err:
         integrate(bad, 1, sch)
     assert "0.7" in str(err.value)
 
@@ -116,7 +121,7 @@ def test_overflowing_weighted_sum_is_not_finite():
     # overflows; the library keeps numpy's default warning on the way
     sch = box_scheme((5, 5), [(-1e200, 1e200)] * 2)
     with pytest.warns(RuntimeWarning, match="overflow"), \
-            pytest.raises(NonFiniteIntegrandError, match="weighted sum .* not finite: inf"):
+            pytest.raises(NumericalError, match="weighted sum .* not finite: inf"):
         integrate(lambda x, y: np.ones(np.broadcast(x, y).shape), 2, sch)
 
 
@@ -130,7 +135,7 @@ def test_chunked_error_names_every_coordinate():
         calls.append(np.broadcast_shapes(*map(np.shape, (x, y, px, py))))
         return np.where((x < -0.8) & (y < -0.8), np.inf, 1.0) + 0.0 * (px + py)
 
-    with pytest.raises(NonFiniteIntegrandError) as err:
+    with pytest.raises(NumericalError) as err:
         integrate(spike, 4, sch)
     assert calls == [(8, 8, 8, 8)]
     assert str(err.value).endswith("node (-0.875, -0.875, -0.875, -0.875)")

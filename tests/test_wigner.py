@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wigsim.dynamics import evolve
-from wigsim.model import PhasePoint, SystemKind, SystemParams
+from wigsim.model import NumericalError, PhasePoint, SystemKind, SystemParams
 from wigsim.quadrature import box_scheme, hermite_scheme, integrate
 from wigsim.specfun import airy_ai
 from wigsim.wigner import (
@@ -15,7 +15,6 @@ from wigsim.wigner import (
     GQWState,
     LandauState,
     StationaryHOState,
-    TruncationError,
     _quad_forms,
     gqw_energy,
     ho_energy,
@@ -142,6 +141,10 @@ class TestStationaryHO:
         assert ho_energy(n1[:, None], n2, p).shape == (400, 400)
         with pytest.raises(ValueError):
             ho_energy(n1, n2 - 1, p)
+        # levels are labelled by integers: the formula's value at 1.5 is no level
+        for n in (1.5, 2.0, np.arange(3.0), True):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                ho_energy(0, n, p)
 
     def test_energy_rejects_the_continuum(self):
         # no trap and no field: big_omega = 0 and the ladder is a continuum
@@ -190,6 +193,9 @@ class TestLandau:
         assert landau_energy(levels, p).tolist() == [landau_energy(n, p) for n in range(1000)]
         with pytest.raises(ValueError):
             landau_energy(levels - 1, p)
+        for n in (0.5, 1.0, np.arange(3.0), True):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                landau_energy(n, p)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -351,7 +357,7 @@ class TestGQW:
         with pytest.raises(ValueError):
             GQWState(1, p, y_max=turning + 4.0 * width)
         # just above the floor the mass check catches the unconverged tail
-        with pytest.raises(TruncationError):
+        with pytest.raises(NumericalError, match="has not converged"):
             GQWState(1, p, y_max=turning + 5.05 * width)
 
     def test_validation(self):
