@@ -19,12 +19,11 @@ from . import quadrature
 # evolve stays importable from here: wigbench/spans.py wraps it as measures.evolve
 from .dynamics import _displacement, _offset, _quadratic_map, evolve
 from .model import NumericalError, PhasePoint, SystemKind, SystemParams
-from .specfun import _unwrap_scalar, gauss_hermite
+from .specfun import gauss_hermite
 from .wigner import LandauState, StationaryHOState
 
 __all__ = [
     "fidelity_quadrature",
-    "fidelity_ho_paper",
     "FidelityCurve",
     "fidelity_curve",
     "EntropyConvention",
@@ -65,21 +64,6 @@ def fidelity_quadrature(w1, w2, scheme: quadrature.QuadratureScheme) -> float:
     return amplitude * amplitude
 
 
-def fidelity_ho_paper(omega, t, c0: PhasePoint):
-    """Closed-form trapped-system fidelity (omega0 = 1 family):
-
-    F = exp[S (cos(t) cos(omega t) - 1) + 2 J sin(t) sin(omega t)]
-
-    with S = |c0|^2 and J = py0 x0 - px0 y0.  Equals the Gaussian closed
-    form along that family's centre exactly.
-    """
-    t = np.asarray(t, dtype=float)
-    s_tot = c0.x ** 2 + c0.y ** 2 + c0.px ** 2 + c0.py ** 2
-    j_tot = c0.py * c0.x - c0.px * c0.y
-    beat = np.cos(t) * np.cos(omega * t) - 1.0
-    return _unwrap_scalar(np.exp(s_tot * beat + 2.0 * j_tot * np.sin(t) * np.sin(omega * t)))
-
-
 @dataclass(frozen=True)
 class FidelityCurve:
     """Fidelity of an evolving Gaussian against its initial state."""
@@ -89,7 +73,7 @@ class FidelityCurve:
     # sqrt(W_0 W_t) on W_0's own order-n Hermite rule; worst |quad - closed| on
     # the benchmark's curves: 1.3e-7 at n = 10, 5.3e-9 at 12, 8.5e-12 at 16, 3.4e-15 at 32
     quad: np.ndarray
-    paper: np.ndarray | None    # printed trapped-system formula, if defined
+    paper: np.ndarray | None    # the printed omega0 = 1 family, on that trap only
     abs_diff: np.ndarray        # |closed - quad|
 
 
@@ -99,13 +83,13 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
 
     form="consistent" moves the center with the canonical flow of params;
     form="paper" (trapped system with omega0 = 1 only) uses the printed
-    unit-weight rotation family.  The closed and quadrature routes are both
-    evaluated at every time so their agreement is part of the output: the
-    quadrature value integrates sqrt(W_0 W_t) on W_0's own unit Gauss-Hermite
-    rule of the given order (1 to 256), fixed before t is known, so it carries
-    the rule's true error.  Over curves shaped like the benchmark's, the worst
-    |quad - closed| is 1.3e-7 at order 10, 5.3e-9 at 12, 8.5e-12 at 16 and
-    3.4e-15 at 32.
+    unit-weight rotation family, whose exp(-|d_p|^2/2) is the paper column on
+    that system in either form.  Closed and quadrature routes are both evaluated
+    at every time so their agreement is part of the output: the quadrature value
+    integrates sqrt(W_0 W_t) on W_0's own unit Gauss-Hermite rule of the given
+    order (1 to 256), fixed before t is known, so it carries the rule's true
+    error.  Over curves shaped like the benchmark's, the worst |quad - closed| is
+    1.3e-7 at order 10, 5.3e-9 at 12, 8.5e-12 at 16 and 3.4e-15 at 32.
     """
     rule = gauss_hermite(order)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -114,17 +98,16 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     is_ho_unit = params.kind is SystemKind.HO_FIELD and params.omega0 == 1.0
     if form == "paper" and not is_ho_unit:
         raise ValueError("the printed fidelity family assumes the trapped system with omega0 = 1")
-    # the printed form squares c0: below 2^510, |c0|^2 is finite; checked before any flow
+    # below 2^510 per coordinate, |c0|^2 is finite; checked before any flow
     if not np.all(np.abs(c0.as_array()) < 2.0 ** 510):
         raise ValueError("initial point must be finite, with each coordinate below 2^510 "
                          "so that |c0|^2 does not overflow")
 
-    if form == "paper":
-        d = _offset(_quadratic_map(params.omega, 1.0, 1.0, times), 0.0, params.omega, 1.0,
-                    times, c0)
-    else:
-        d = _displacement(params, c0, times)
-    if not np.isfinite(d).all():
+    # the printed family: unit oscillation weights at big_omega = 1 under the field rotation
+    d_p = (_offset(_quadratic_map(params.omega, 1.0, 1.0, times), 0.0, params.omega, 1.0,
+                   times, c0) if is_ho_unit else None)
+    d = d_p if form == "paper" else _displacement(params, c0, times)
+    if not all(np.isfinite(v).all() for v in (d, d_p) if v is not None):
         raise NumericalError("evolved center is not finite: the flow overflows")
     closed = np.exp(-0.5 * np.sum(d * d, axis=-1))
     # sqrt(W_0 W_t) on W_0's unit rule, relative to c0: per axis k,
@@ -133,7 +116,7 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     s = sum(w * np.exp(0.5 * x * x - 0.5 * (d - x) ** 2) for x, w in zip(rule.nodes, rule.weights))
     # any excess over 1 is rounding
     quad = np.minimum(np.prod(s / math.sqrt(math.pi), axis=-1) ** 2, 1.0)
-    paper = fidelity_ho_paper(params.omega, times, c0) if is_ho_unit else None
+    paper = None if d_p is None else closed if d_p is d else np.exp(-0.5 * np.sum(d_p * d_p, -1))
     return FidelityCurve(times=times, closed=closed, quad=quad, paper=paper,
                          abs_diff=np.abs(closed - quad))
 

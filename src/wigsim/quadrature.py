@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import NumericalError
-from .specfun import _MAX_HERMITE_ORDER, gauss_hermite
+from .specfun import _MAX_HERMITE_ORDER, _checked_index, gauss_hermite
 
 __all__ = [
     "SchemeKind",
@@ -51,8 +51,8 @@ class QuadratureScheme:
     def __post_init__(self):
         if len(self.orders) == 0:
             raise ValueError("scheme needs at least one axis")
-        if any(not isinstance(n, (int, np.integer)) or n < 1 for n in self.orders):
-            raise ValueError("orders must be positive integers")
+        for n in self.orders:
+            _checked_index(n, 1, "orders must be positive integers")
         if len(self.pairs) != len(self.orders):
             raise ValueError("scheme needs one (a, b) pair per axis")
         if self.kind is SchemeKind.TENSOR_HERMITE:

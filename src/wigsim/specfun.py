@@ -94,14 +94,24 @@ def _unwrap_scalar(v):
     return float(v) if v.ndim == 0 else v
 
 
+def _checked_index(n, low: int, what: str, *, scalar: bool = True, high: float = math.inf):
+    """n as a level index, quantum number or rule order: of integer dtype (so not
+    a bool), 0-d if scalar, every entry in [low, high].  Returns an int if scalar,
+    else an integer array; raises ValueError(what) otherwise."""
+    idx = np.asarray(n)
+    if (idx.dtype.kind not in "iu" or (scalar and idx.ndim)
+            or np.any(idx < low) or np.any(idx > high)):
+        raise ValueError(what)
+    return int(idx) if scalar else idx
+
+
 def laguerre(n: int, x):
     """Laguerre polynomial L_n(x) by the upward three-term recurrence.
 
     Accepts scalar or array x.  Upward recurrence is numerically benign for
     the arguments used here (x >= 0, moderate n).
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError("laguerre degree must be a nonnegative integer")
+    n = _checked_index(n, 0, "laguerre degree must be a nonnegative integer")
     arr = np.asarray(x, dtype=float)
     prev, cur = np.zeros_like(arr), np.ones_like(arr)     # L_{-1} and L_0
     for k in range(n):
@@ -163,9 +173,7 @@ def airy_zero(n):
     mpmath, zeros 1..200 and a sample up to 10^4 are within 2 ulp.  Raises
     NumericalError where Ai at the last iterate is not small against its slope.
     """
-    idx = np.asarray(n)
-    if idx.dtype.kind not in "iu" or np.any(idx < 1):
-        raise ValueError("airy zero index starts at 1")
+    idx = _checked_index(n, 1, "airy zero index starts at 1", scalar=False)
     t = (3.0 * math.pi / 8.0) * (4.0 * idx.astype(float) - 1.0)
     w = t ** -2.0
     z = -(t ** (2.0 / 3.0)) * (1.0 + w * (5.0 / 48.0 + w * (-5.0 / 36.0 + w * 77125.0 / 82944.0)))
@@ -195,9 +203,9 @@ def gauss_hermite(n: int) -> GaussHermiteRule:
     Each order is built once per process and shared by every caller, so the
     returned nodes and weights are read-only arrays.
     """
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= _MAX_HERMITE_ORDER:
-        raise ValueError(f"gauss_hermite order must satisfy 1 <= n <= {_MAX_HERMITE_ORDER}")
-    return _build_gauss_hermite(int(n))
+    return _build_gauss_hermite(_checked_index(
+        n, 1, f"gauss_hermite order must satisfy 1 <= n <= {_MAX_HERMITE_ORDER}",
+        high=_MAX_HERMITE_ORDER))
 
 
 @functools.lru_cache(maxsize=None)   # bounded by the orders validated above

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quadrature
 from .model import NumericalError, PhasePoint, SystemKind, SystemParams
-from .specfun import _unwrap_scalar, airy_ai, airy_zero, laguerre
+from .specfun import _checked_index, _unwrap_scalar, airy_ai, airy_zero, laguerre
 
 __all__ = [
     "GaussianWigner",
@@ -123,14 +123,10 @@ class StationaryHOState(ProductState):
     """
 
     def __init__(self, n1: int, n2: int, params: SystemParams):
-        if not isinstance(n1, (int, np.integer)) or n1 < 0:
-            raise ValueError("n1 must be a nonnegative integer")
-        if not isinstance(n2, (int, np.integer)) or n2 < 0:
-            raise ValueError("n2 must be a nonnegative integer")
+        self.n1 = _checked_index(n1, 0, "n1 must be a nonnegative integer")
+        self.n2 = _checked_index(n2, 0, "n2 must be a nonnegative integer")
         if not params.big_omega > 0:
             raise ValueError("stationary trapped state needs big_omega > 0")
-        self.n1 = int(n1)
-        self.n2 = int(n2)
         self.params = params
 
     def value(self, x, y, px, py):
@@ -156,8 +152,8 @@ class StationaryHOState(ProductState):
 def ho_energy(n1, n2, params: SystemParams):
     """E_{n1,n2} = hbar [big_omega (n1 + n2 + 1) + omega (n1 - n2)], also
     over integer arrays n1, n2 that broadcast; big_omega = 0 is a continuum."""
-    if any(np.asarray(n).dtype.kind not in "iu" or np.any(np.asarray(n) < 0) for n in (n1, n2)):
-        raise ValueError("quantum numbers must be nonnegative integers")
+    for n in (n1, n2):
+        _checked_index(n, 0, "quantum numbers must be nonnegative integers", scalar=False)
     if not params.big_omega > 0:
         raise ValueError("the trap ladder requires big_omega > 0")
     return params.hbar * (params.big_omega * (n1 + n2 + 1) + params.omega * (n1 - n2))
@@ -174,13 +170,11 @@ class LandauState(ProductState):
     """
 
     def __init__(self, n: int, params: SystemParams):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError("Landau index must be a nonnegative integer")
+        self.n = _checked_index(n, 0, "Landau index must be a nonnegative integer")
         if params.omega0 != 0:
             raise ValueError("Landau levels require omega0 = 0")
         if not params.omega > 0:
             raise ValueError("Landau levels require omega > 0")
-        self.n = int(n)
         self.params = params
 
     def value(self, x, y, px, py):
@@ -202,8 +196,7 @@ class LandauState(ProductState):
 
 def landau_energy(n, params: SystemParams):
     """E_n = hbar omega (2n + 1), for a level index or an integer array of them."""
-    if np.asarray(n).dtype.kind not in "iu" or np.any(np.asarray(n) < 0):
-        raise ValueError("Landau index must be a nonnegative integer")
+    _checked_index(n, 0, "Landau index must be a nonnegative integer", scalar=False)
     if not params.omega > 0:
         raise ValueError("Landau ladder requires omega > 0")
     return params.hbar * params.omega * (2 * n + 1)
@@ -233,6 +226,9 @@ class GQWYSector:
         return self.value_xi(xi)
 
 
+_GQW_LEVEL = "gravitational level index must be an integer starting at 1"
+
+
 class GQWState(ProductState):
     """Stationary Wigner state of a particle bouncing in uniform gravity.
 
@@ -250,13 +246,11 @@ class GQWState(ProductState):
 
     def __init__(self, n_y: int, params: SystemParams, x_center=(0.0, 0.0),
                  y_max: float | None = None):
-        if not isinstance(n_y, (int, np.integer)) or n_y < 1:
-            raise ValueError("gravitational level index starts at 1")
+        self.n_y = _checked_index(n_y, 1, _GQW_LEVEL)
         if params.kind not in (SystemKind.GQW_BALLISTIC, SystemKind.GQW_FIELD):
             raise ValueError("GQWState requires a gravitational system")
         if not params.g > 0:
             raise ValueError("GQWState requires g > 0")
-        self.n_y = int(n_y)
         self.params = params
         m, g = params.mass, params.g
         self.energy = gqw_energy(n_y, params)
@@ -288,8 +282,7 @@ def gqw_energy(n_y, params: SystemParams):
 
     n_y is a level index or an integer array of them (one zero search).
     """
-    if np.any(np.asarray(n_y) < 1):
-        raise ValueError("gravitational level index starts at 1")
+    _checked_index(n_y, 1, _GQW_LEVEL, scalar=False)
     if not params.g > 0:
         raise ValueError("gravitational spectrum requires g > 0")
     scale = _gqw_scale(params)

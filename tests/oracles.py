@@ -2,7 +2,8 @@
 
 Nothing here reuses the package's closed-form or series implementations:
 paper_form_point writes the printed family's trajectory in complex form,
-and hamiltonian_value and canonical_rhs state the Hamiltonian and its
+printed_fidelity its fidelity as the printed trigonometric formula, and
+hamiltonian_value and canonical_rhs state the Hamiltonian and its
 canonical equations directly; ode_residual and flow_jacobian difference the
 package's evolve, the flow under test, and compare it with them.
 flow_generator_mp and hermite_fidelity_mp recompute a fidelity sample in
@@ -200,6 +201,21 @@ def paper_form_point(omega, t, c0: PhasePoint) -> PhasePoint:
     zeta = turn * (zeta0 * np.cos(t) + pi0 * np.sin(t))
     pi = turn * (pi0 * np.cos(t) - zeta0 * np.sin(t))
     return PhasePoint(*(_unwrap_scalar(v) for v in (zeta.real, zeta.imag, pi.real, pi.imag)))
+
+
+def printed_fidelity(omega, t, c0: PhasePoint):
+    """The printed omega0 = 1 trapped-system fidelity,
+
+    F = exp[S (cos(t) cos(omega t) - 1) + 2 J sin(t) sin(omega t)]
+
+    with S = |c0|^2 and J = py0 x0 - px0 y0.  The bracket cancels for a far
+    c0 at small t, so it is a reference only where |c0|^2 is moderate.
+    """
+    t = np.asarray(t, dtype=float)
+    s_tot = c0.x ** 2 + c0.y ** 2 + c0.px ** 2 + c0.py ** 2
+    j_tot = c0.py * c0.x - c0.px * c0.y
+    beat = np.cos(t) * np.cos(omega * t) - 1.0
+    return _unwrap_scalar(np.exp(s_tot * beat + 2.0 * j_tot * np.sin(t) * np.sin(omega * t)))
 
 
 def flow_generator_mp(mass, charge, b0, omega0, gravity, unit_weights=False):

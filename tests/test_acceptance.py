@@ -17,6 +17,7 @@ from oracles import (
     hamiltonian_value,
     ode_residual,
     paper_form_point,
+    printed_fidelity,
 )
 from wigsim import measures, quadrature
 from wigsim.dynamics import evolve
@@ -88,7 +89,10 @@ def test_criterion_02_trap_beating_structure():
     def first_revival(omega, form):
         if form == "paper":
             ts = np.arange(0.0, 80.0, 5e-4)
-            vals = measures.fidelity_ho_paper(omega, ts, C0)
+            # the printed family's closed column; the order-1 quadrature column is not read
+            curve = measures.fidelity_curve(_params(SystemKind.HO_FIELD, 2.0 * omega), C0, ts,
+                                            order=1, form="paper")
+            vals = curve.closed
         else:
             p = _params(SystemKind.HO_FIELD, 2.0 * omega)
             ts = np.arange(0.0, 700.0, 1e-3)
@@ -267,13 +271,16 @@ def test_criterion_09_entropy_shape():
 
 def test_criterion_10_rotating_frame_identity():
     worst = 0.0
+    ts = np.linspace(0.0, 4 * np.pi, 50)
     for omega in (0.05, 0.1, 0.25, 0.5, 1.0):
-        for t in np.linspace(0.0, 4 * np.pi, 50):
-            a = float(measures.fidelity_ho_paper(omega, t, C0))
-            b = float(fidelity_gaussian_closed(C0, paper_form_point(omega, t, C0)))
-            worst = max(worst, abs(a - b))
-    _report(10, "the rotating-frame fidelity equals the closed form along its own "
-                "trajectory to 1e-12", worst <= 1e-12, f"worst |diff| = {worst:.2e}")
+        p = _params(SystemKind.HO_FIELD, 2.0 * omega)
+        got = measures.fidelity_curve(p, C0, ts, order=1).paper
+        for want in (printed_fidelity(omega, ts, C0),
+                     fidelity_gaussian_closed(C0, paper_form_point(omega, ts, C0))):
+            worst = max(worst, float(np.max(np.abs(got - want))))
+    _report(10, "the rotating-frame fidelity equals the printed formula and the closed "
+                "form along its own trajectory to 1e-12", worst <= 1e-12,
+            f"worst |diff| = {worst:.2e}")
 
 
 def test_criterion_11_parameter_map_round_trip(capsys):

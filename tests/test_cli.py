@@ -308,10 +308,37 @@ def test_far_trap_fidelity_columns_agree(capsys):
     code, out, err = run_cli(capsys, *_FAR_FIDELITY, "--system", "ho", "--x0", "1e10")
     assert code == 0, err
     for row in parse_csv(out)[2]:
-        assert row["f_closed"] == row["f_quadrature"]
+        assert row["f_closed"] == row["f_quadrature"] == row["f_paper"]
     # the exact value at the float time just short of 2 pi; a big_omega of
-    # 1 + 2^-52 printed 0.999999999883
+    # 1 + 2^-52 printed 0.999999999883, and the printed formula's f_paper 1
     assert row["f_closed"] == "0.999999999997"
+
+
+def test_far_trap_paper_form_keeps_its_digits(capsys):
+    # the printed formula's cos t cos omega t - 1 cancels at |c0|^2 = 1e10 and
+    # printed f_paper 0.587869973615 in the first row; these are mpmath's values
+    code, out, err = run_cli(capsys, "fidelity", "--system", "ho", "--x0", "1e5", "--y0", "0",
+                             "--px0", "0", "--py0", "0", "--b0", "0.5", "--t-start", "1e-5",
+                             "--t-end", "4e-5", "--t-steps", "4", "--fidelity-form", "paper")
+    assert code == 0, err
+    rows = parse_csv(out)[2]
+    assert [row["f_paper"] for row in rows] == [
+        "0.587869673126", "0.119432968278", "0.00838551052933", "0.00020346836931"]
+    assert all(row["f_paper"] == row["f_closed"] for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_far_initial_point_fidelity_is_finite(capsys, fmt):
+    # |c0|^2 = 1e306 overflowed the printed formula's exponent to a non-finite
+    # f_paper; -|d_p|^2 / 2 cannot overflow, and the packet has left by the next tau
+    code, out, err = run_cli(capsys, "fidelity", "--x0", "1e153", "--t-steps", "3",
+                             "--format", fmt)
+    assert code == 0, err
+    rows = parse_csv(out)[2] if fmt == "csv" else json.loads(out)["rows"]
+    assert len(rows) == 12
+    for row in rows:
+        want = 1.0 if float(row["tau"]) == 0.0 else 0.0
+        assert [float(row[c]) for c in ("f_closed", "f_quadrature", "f_paper")] == [want] * 3
 
 
 def test_quad_order_moves_the_quadrature_column(capsys):
@@ -709,15 +736,13 @@ def test_unused_omega0_or_gravity_is_range_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--system", "ho", "--hbar", "1e307", "--n-max", "20"),
     ("trajectory", "--system", "gqw", "--b0", "0", "--gravity", "1e308", "--t-steps", "3"),
-    ("fidelity", "--x0", "1e153", "--t-steps", "3"),
     ("entropy", "--system", "free", "--hbar", "1e-150", "--b0", "0.5"),
     # the ridge's norm and divisor pi hbar both overflow, and inf/inf is nan
     ("entropy", "--system", "free", "--hbar", "1.7e308"),
     ("entropy", "--hbar", "6e307", "--b0", "0.5"),
     *_OVERFLOWING_BOX_SUMS,
     _GQW_FAR_FIDELITY,
-], ids=["spectrum-ho-inf-energy", "trajectory-gqw-inf-drop", "fidelity-paper-exp-overflow",
-        "entropy-free-ridge-exp-overflow", "entropy-free-ridge-hbar-1.7e308",
+], ids=["spectrum-ho-inf-energy", "trajectory-gqw-inf-drop", "entropy-free-ridge-exp-overflow", "entropy-free-ridge-hbar-1.7e308",
         "entropy-ridge-hbar-6e307", *_OVERFLOWING_BOX_SUM_IDS, "fidelity-gqw-flow-overflow"])
 def test_non_finite_cell_is_numeric_error(capsys, argv, fmt):
     # warnings are errors here: an exp that overflows to inf must not warn first

@@ -131,7 +131,8 @@ def _exact(value) -> Fraction:
 def test_fidelity_golden_cells_match_mpmath(name):
     # every fidelity cell of the checked-in file against the same order-n rule
     # summed in mpmath at 30 digits, with d from the matrix exponential of the
-    # canonical generator; the parameters come from the file's header
+    # canonical generator; the parameters come from the file's header.  An
+    # f_paper cell is the closed value of the printed unit-weight family
     from mpmath import mp
 
     cfg, rows = _cells(name)
@@ -140,11 +141,16 @@ def test_fidelity_golden_cells_match_mpmath(name):
     bad = []
     with mp.workdps(30):
         for cell in rows:
+            tau, order = float(cell["tau"]), int(cfg["quad_order"])
             gen = flow_generator_mp(b0=float(cell["b0"]),
                                     unit_weights=cfg["fidelity_form"] == "paper", **num)
-            closed, quad = hermite_fidelity_mp(gen, z0, float(cell["tau"]), int(cfg["quad_order"]))
-            for column, want in (("f_closed", closed), ("f_quadrature", quad),
-                                 ("abs_diff", abs(closed - quad))):
+            closed, quad = hermite_fidelity_mp(gen, z0, tau, order)
+            checks = [("f_closed", closed), ("f_quadrature", quad),
+                      ("abs_diff", abs(closed - quad))]
+            if "f_paper" in cell:
+                unit = flow_generator_mp(b0=float(cell["b0"]), unit_weights=True, **num)
+                checks.append(("f_paper", hermite_fidelity_mp(unit, z0, tau, order)[0]))
+            for column, want in checks:
                 if not abs(float(cell[column]) - want) <= 1e-12:
                     bad.append((cell["b0"], cell["tau"], column, cell[column], mp.nstr(want, 15)))
     assert not bad, f"{len(bad)} cells differ, first {bad[:3]}"

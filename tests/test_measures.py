@@ -1,5 +1,6 @@
 """Fidelity and entropy measures."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from wigsim.measures import (
     EntropyConvention,
     entropy_vs_field,
     fidelity_curve,
-    fidelity_ho_paper,
     fidelity_quadrature,
     shannon_entropy,
 )
@@ -21,7 +21,7 @@ from wigsim.model import NumericalError, PhasePoint, SystemKind, SystemParams
 from wigsim.quadrature import box_scheme, hermite_scheme, integrate
 from wigsim.wigner import Gaussian2D, GaussianWigner, LandauState, StationaryHOState
 
-from oracles import fidelity_gaussian_closed, paper_form_point
+from oracles import fidelity_gaussian_closed, paper_form_point, printed_fidelity
 from test_dynamics import _PROPERTY, valid_params
 
 C0 = PhasePoint(1.0, 1.0, 1.0, 1.0)
@@ -110,16 +110,40 @@ class TestFidelityQuadrature:
             fidelity_quadrature(w, bad, sch)
 
 
+def _paper_column(omega, ts, form, c0=C0):
+    """The paper column of the omega0 = 1 trap at field rotation omega (b0 = 2 omega)."""
+    params = SystemParams(kind=SystemKind.HO_FIELD, b0=2.0 * omega, omega0=1.0)
+    return fidelity_curve(params, c0, ts, order=1, form=form).paper
+
+
 class TestPaperForm:
     def test_equals_closed_form_on_its_trajectory(self):
         ts = np.linspace(0.0, 12.0, 97)
-        for omega in (0.1, 0.5, 1.0):
+        for omega, form in itertools.product((0.1, 0.5, 1.0), ("consistent", "paper")):
             want = fidelity_gaussian_closed(C0, paper_form_point(omega, ts, C0))
-            got = fidelity_ho_paper(omega, ts, C0)
+            got = _paper_column(omega, ts, form)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+            assert np.allclose(got, printed_fidelity(omega, ts, C0), rtol=1e-12, atol=1e-14)
+
+    def test_paper_form_column_is_its_closed_column(self):
+        # the family's displacement is formed once: in paper form the two columns are one array
+        p = SystemParams(kind=SystemKind.HO_FIELD, b0=0.5, omega0=1.0)
+        ts = np.linspace(0.0, 6.0, 7)
+        curve = fidelity_curve(p, C0, ts, order=4, form="paper")
+        assert curve.paper is curve.closed
+        assert fidelity_curve(p, C0, ts, order=4).paper.tolist() == curve.closed.tolist()
+
+    @pytest.mark.parametrize("form", ["consistent", "paper"])
+    def test_far_centre_keeps_its_digits(self, form):
+        # the printed exp[|c0|^2 (cos t cos omega t - 1) + ...] cancels in its bracket
+        # and printed 0.587869973615 here; the displacement's value is mpmath's
+        c0 = PhasePoint(1e5, 0.0, 0.0, 0.0)
+        got = _paper_column(0.25, [1e-5, 4e-5], form, c0)
+        assert got.tolist() == pytest.approx([0.587869673126, 0.00020346836931], rel=1e-11)
 
     def test_unity_at_zero(self):
-        assert fidelity_ho_paper(0.5, 0.0, C0) == pytest.approx(1.0, rel=1e-15)
+        for form in ("consistent", "paper"):
+            assert _paper_column(0.5, 0.0, form)[0] == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("t", [math.inf, np.array([0.0, math.nan, 1.0])],
                              ids=["scalar-inf", "array-nan"])
@@ -130,7 +154,8 @@ class TestPaperForm:
 
     def test_period_without_field(self):
         # omega = 0: pure oscillation, full revival at t = 2 pi
-        assert fidelity_ho_paper(0.0, 2 * math.pi, C0) == pytest.approx(1.0, rel=1e-12)
+        for form in ("consistent", "paper"):
+            assert _paper_column(0.0, 2 * math.pi, form)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestFidelityCurve:

@@ -81,6 +81,9 @@ def test_scheme_validation():
         box_scheme((2.7,), [(0, 1)])
     with pytest.raises(ValueError, match="orders must be positive integers"):
         hermite_scheme((2.7,))
+    # nor is a bool: (True, True) is not a pair of one-node axes
+    with pytest.raises(ValueError, match="orders must be positive integers"):
+        box_scheme((True, True), [(0, 1), (0, 1)])
 
 
 def test_node_budget_rejects_before_allocating(monkeypatch):

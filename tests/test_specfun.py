@@ -72,8 +72,10 @@ class TestLaguerre:
         assert laguerre(2, 1.0) == pytest.approx(laguerre(2, np.array([1.0]))[0], rel=1e-15)
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            laguerre(-1, 0.5)
+        # nor a non-integer or a bool degree: laguerre(True, x) is not L_1
+        for bad in (-1, 1.5, True, np.array([2])):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                laguerre(bad, 0.5)
 
 
 class TestAiry:
@@ -135,7 +137,7 @@ class TestAiry:
         assert airy_zero(np.array([[2, 1]])).shape == (1, 2)
 
     @pytest.mark.parametrize("bad", [np.array([1, 0, 3]), np.array([1.0, 2.0]),
-                                     np.array([-2]), 2.0])
+                                     np.array([-2]), 2.0, True])
     def test_array_index_validated(self, bad):
         with pytest.raises(ValueError):
             airy_zero(bad)
@@ -292,8 +294,9 @@ class TestGaussHermite:
                 assert abs(p1 / pp) <= 1e-13 * max(1.0, abs(z))
 
     def test_order_bounds(self):
-        for bad in (0, 257, 2.5):
-            with pytest.raises(ValueError):
+        # a bool is not an order: True is not the order-1 rule
+        for bad in (0, 257, 2.5, True, np.array([4])):
+            with pytest.raises(ValueError, match="order must satisfy"):
                 gauss_hermite(bad)
 
     def test_rule_is_built_once_per_order(self):

@@ -155,6 +155,10 @@ class TestStationaryHO:
     def test_validation(self):
         with pytest.raises(ValueError):
             StationaryHOState(-1, 0, trap_params())
+        # a level is labelled by integers, and a bool is not one
+        for n1, n2 in ((True, False), (1.5, 0), (0, np.array([1]))):
+            with pytest.raises(ValueError, match="must be a nonnegative integer"):
+                StationaryHOState(n1, n2, trap_params())
         with pytest.raises(ValueError):
             StationaryHOState(0, 0, SystemParams(kind=SystemKind.FREE_FIELD, b0=0.0))
 
@@ -202,6 +206,9 @@ class TestLandau:
             LandauState(0, landau_params(b0=0.0))
         with pytest.raises(ValueError):
             LandauState(-1, landau_params())
+        for n in (True, 1.5):
+            with pytest.raises(ValueError, match="Landau index must be a nonnegative integer"):
+                LandauState(n, landau_params())
         with pytest.raises(ValueError):
             LandauState(0, trap_params(b0=1.0))
 
@@ -363,6 +370,13 @@ class TestGQW:
     def test_validation(self):
         with pytest.raises(ValueError):
             GQWState(0, gqw_params())
+        # a non-integer level fails on the level, not inside the Airy zero search
+        for n in (True, 1.5):
+            with pytest.raises(ValueError, match="gravitational level index must be an integer"):
+                GQWState(n, gqw_params())
+        for n in (1.5, np.array([1.0, 2.0]), True):
+            with pytest.raises(ValueError, match="gravitational level index must be an integer"):
+                gqw_energy(n, gqw_params())
         with pytest.raises(ValueError):
             GQWState(1, SystemParams(kind=SystemKind.GQW_BALLISTIC, g=0.0))
         with pytest.raises(ValueError):
