@@ -8,8 +8,12 @@ quadratic part oscillates at big_omega = sqrt(omega^2 + omega0^2):
     zeta(t) = e^{-i omega t} [zeta0 cos(big_omega t) + (pi0 / (m big_omega)) sin(big_omega t)]
     pi(t)   = e^{-i omega t} [pi0 cos(big_omega t) - m big_omega zeta0 sin(big_omega t)]
 
-Gravity adds a drift handled by variation of constants, so every flow is one
-affine map z(t) = M(t) z0 + b(t) with M symplectic (flow_map).
+That is z(t) = W R z0: R rotates within each plane, W oscillates each
+(position, momentum) pair, and the two commute.  Gravity adds a drift b(t) by
+variation of constants.  _displacement applies every flow as
+d = z(t) - z0 = (W R - I) z0 + b, entry by entry without forming M = W R:
+evolve returns z0 + d, fidelity_curve measures d, and flow_map reads
+z(t) = M(t) z0 + b(t) off it.
 """
 
 from __future__ import annotations
@@ -22,29 +26,6 @@ from .model import PhasePoint, SystemParams
 from .specfun import _unwrap_scalar
 
 __all__ = ["flow_map", "evolve"]
-
-
-def _quadratic_map(omega: float, big_omega: float, mass: float, t) -> np.ndarray:
-    """M(t) of the quadratic part, shape t.shape + (4, 4).
-
-    M = W (x) R: the oscillation W at big_omega, with position/momentum
-    weight mass * big_omega, acts on the (position, momentum) pair, and the
-    field rotation R at omega acts within each plane.  sin(big_omega t) / (mass
-    big_omega) = t sinc(big_omega t / pi) / mass is t / mass at big_omega = 0.  Every
-    flow takes its times here, so this is where a non-finite time is rejected.
-    """
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("times must be finite")
-    c = np.cos(big_omega * t)
-    s = np.sin(big_omega * t)
-    w = np.array([[c, t * np.sinc(big_omega * t / math.pi) / mass], [-(mass * big_omega) * s, c]])
-    cw = np.cos(omega * t)
-    sw = np.sin(omega * t)
-    r = np.array([[cw, sw], [-sw, cw]])
-    # time axes last while multiplying, so the inner loops run over time
-    m = (w[:, None, :, None] * r[None, :, None, :]).reshape((4, 4) + t.shape)
-    return np.moveaxis(m, (0, 1), (-2, -1))
 
 
 # (x - sin x) / x^2 = x/3! - x^3/5! + ... to x^15/17!, highest power first
@@ -60,53 +41,54 @@ def _drift_shape(x):
     return np.where(small, xs * np.polyval(_DRIFT_SERIES, xs * xs), (xl - np.sin(xl)) / xl / xl)
 
 
+def _displacement(omega, big_omega, mass, g, t, z0) -> np.ndarray:
+    """d = z(t) - z0 = (M - I) z0 + b for field rotation omega, oscillation big_omega at
+    position/momentum weight mass * big_omega and gravity g (untrapped only, so big_omega
+    = omega there), shaped as t, big_omega and mass broadcast against z0's leading shape,
+    plus (4,); non-finite times or z0 are rejected here.  Each entry of M - I is formed
+    before it meets z0, so a far z0 keeps its displacement (cos x - 1 is -2 sin^2(x/2),
+    sin(big_omega t) / (mass big_omega) is t sinc(big_omega t / pi) / mass), and a zero
+    entry stays 0 against an overflowing term: rotating an overflowed W z0 gives x = nan.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
+    z0 = np.asarray(z0, dtype=float)
+    if not np.isfinite(z0).all():
+        raise ValueError("initial point must be finite")
+    x, y, px, py = (z0[..., k] for k in range(4))
+    wt, bt = omega * t, big_omega * t
+    cw, sw = np.cos(wt), np.sin(wt)
+    s_t = t * np.sinc(bt / math.pi)
+    # each 2 x 2 (position, momentum) block of M - I is a multiple of R, less I on the
+    # diagonal blocks: a = cos(big_omega t) cos(omega t) - 1 there, without cancelling
+    a = -2.0 * np.sin(0.5 * bt) ** 2 * cw - 2.0 * np.sin(0.5 * wt) ** 2
+    e = np.cos(bt) * sw
+    s_m, ms = s_t / mass, -(mass * big_omega) * np.sin(bt)
+    p, q, r, s = s_m * cw, s_m * sw, ms * cw, ms * sw
+    d = [a * x + e * y + p * px + q * py, -e * x + a * y - q * px + p * py,
+         r * x + s * y + a * px + e * py, -s * x + r * y - e * px + a * py]
+    if g:
+        # the drift: uniform motion -g / (2 omega) along x, the secular momentum loss
+        # -m g t / 2 in py and parts closing at 2 omega; nothing cancels as omega t -> 0,
+        # and x stays put at omega = 0 (the ballistic drop) even where g t overflows
+        b = [-g * (t * (t * _drift_shape(2.0 * wt))), -0.5 * g * s_t * s_t,
+             -0.5 * mass * g * sw * s_t, -0.5 * mass * g * (t + cw * s_t)]
+        d = [dk + bk for dk, bk in zip(d, b)]
+    return np.stack(d, axis=-1)
+
+
 def flow_map(params: SystemParams, t):
     """The exact flow z(t) = M(t) z0 + b(t) of params, vectorized over t.
 
-    M has shape t.shape + (4, 4) and is symplectic; b has shape t.shape + (4,)
-    and is the gravitational drift, zero without gravity.  With a field
-    (omega > 0) the drift is a uniform motion perpendicular to gravity,
-    velocity -g / (2 omega) along x, with the secular momentum loss
-    -m g t / 2 in py and oscillatory parts closing at 2 omega; at omega = 0,
-    where sin(omega t) / omega = t sinc(omega t / pi) is t, it is the ballistic drop.
+    M has shape t.shape + (4, 4) and is symplectic: column j is e_j plus the
+    displacement of e_j without gravity.  b has shape t.shape + (4,) and is the
+    displacement of the origin, the gravitational drift (zero without gravity).
     """
     t = np.asarray(t, dtype=float)
-    m = _quadratic_map(params.omega, params.big_omega, params.mass, t)
-    b = np.zeros((4,) + t.shape)
-    g = params.g
-    if g:
-        # SystemParams puts gravity only on untrapped systems, so big_omega = omega
-        mass = params.mass
-        w = params.omega
-        # nothing cancels as w t -> 0, and b[0] stays 0 at w = 0 even where g t overflows
-        s, c = np.sin(w * t), np.cos(w * t)
-        s_w = t * np.sinc(w * t / math.pi)
-        b[0] = -g * (t * (t * _drift_shape(2.0 * w * t)))
-        b[1] = -0.5 * g * s_w * s_w
-        b[2] = -0.5 * mass * g * s * s_w
-        b[3] = -0.5 * mass * g * (t + c * s_w)
-    return m, np.moveaxis(b, 0, -1)
-
-
-def _offset(m: np.ndarray, b, omega: float, big_omega: float, t, initial: PhasePoint) -> np.ndarray:
-    """d = (M - I) z0 + b, the flow's displacement from z0, with the time shape
-    broadcast against the initial point's; rejects a non-finite z0.  M - I is formed
-    directly so that a far z0 keeps its displacement: its diagonal cos(big_omega t)
-    cos(omega t) - 1 is -2 sin^2(big_omega t/2) cos(omega t) - 2 sin^2(omega t/2)."""
-    z0 = initial.as_array()
-    if not np.all(np.isfinite(z0)):
-        raise ValueError("initial point must be finite")
-    t = np.asarray(t, dtype=float)
-    k = np.arange(4)
-    m = m - np.eye(4)
-    m[..., k, k] = (-2.0 * np.sin(0.5 * big_omega * t) ** 2 * np.cos(omega * t)
-                    - 2.0 * np.sin(0.5 * omega * t) ** 2)[..., None]
-    return np.einsum("...ij,...j->...i", m, z0) + b
-
-
-def _displacement(params: SystemParams, initial: PhasePoint, t) -> np.ndarray:
-    """d = z(t) - z0 under the exact flow of params (see _offset)."""
-    return _offset(*flow_map(params, t), params.omega, params.big_omega, t, initial)
+    args = (params.omega, params.big_omega, params.mass)
+    m = np.eye(4) + np.swapaxes(_displacement(*args, 0.0, t[..., None], np.eye(4)), -1, -2)
+    return m, _displacement(*args, params.g, t, np.zeros(4))
 
 
 def evolve(params: SystemParams, initial: PhasePoint, t) -> PhasePoint:
@@ -114,5 +96,6 @@ def evolve(params: SystemParams, initial: PhasePoint, t) -> PhasePoint:
     starting from initial: z0 + d, with d the displacement fidelity_curve
     measures.  Covers every kind, including the field-free limits: a
     FREE_FIELD or GQW_FIELD system with b0 = 0 moves ballistically."""
-    z = initial.as_array() + _displacement(params, initial, t)
+    z0 = initial.as_array()
+    z = z0 + _displacement(params.omega, params.big_omega, params.mass, params.g, t, z0)
     return PhasePoint(*(_unwrap_scalar(z[..., k]) for k in range(4)))

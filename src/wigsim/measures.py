@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quadrature
 # evolve stays importable from here: wigbench/spans.py wraps it as measures.evolve
-from .dynamics import _displacement, _offset, _quadratic_map, evolve
+from .dynamics import _displacement, evolve
 from .model import NumericalError, PhasePoint, SystemKind, SystemParams
 from .specfun import gauss_hermite
 from .wigner import LandauState, StationaryHOState
@@ -84,7 +84,9 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     form="consistent" moves the center with the canonical flow of params;
     form="paper" (trapped system with omega0 = 1 only) uses the printed
     unit-weight rotation family, whose exp(-|d_p|^2/2) is the paper column on
-    that system in either form.  Closed and quadrature routes are both evaluated
+    that system in either form.  The family holds big_omega at 1: it is the trap at
+    omega0' = sqrt(1 - omega^2), and for omega >= 1 (b0 >= 2 at m = q = 1) no real
+    trap matches it.  Closed and quadrature routes are both evaluated
     at every time so their agreement is part of the output: the quadrature value
     integrates sqrt(W_0 W_t) on W_0's own unit Gauss-Hermite rule of the given
     order (1 to 256), fixed before t is known, so it carries the rule's true
@@ -99,24 +101,30 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     if form == "paper" and not is_ho_unit:
         raise ValueError("the printed fidelity family assumes the trapped system with omega0 = 1")
     # below 2^510 per coordinate, |c0|^2 is finite; checked before any flow
-    if not np.all(np.abs(c0.as_array()) < 2.0 ** 510):
+    z0 = c0.as_array()
+    if not np.all(np.abs(z0) < 2.0 ** 510):
         raise ValueError("initial point must be finite, with each coordinate below 2^510 "
                          "so that |c0|^2 does not overflow")
 
-    # the printed family: unit oscillation weights at big_omega = 1 under the field rotation
-    d_p = (_offset(_quadratic_map(params.omega, 1.0, 1.0, times), 0.0, params.omega, 1.0,
-                   times, c0) if is_ho_unit else None)
-    d = d_p if form == "paper" else _displacement(params, c0, times)
-    if not all(np.isfinite(v).all() for v in (d, d_p) if v is not None):
+    # on the omega0 = 1 trap the printed family, unit weights at big_omega = 1, is stacked
+    # after the system and shares its field rotation
+    big_omega, mass = ((np.array([[params.big_omega], [1.0]]), np.array([[params.mass], [1.0]]))
+                       if is_ho_unit else (params.big_omega, params.mass))
+    d = _displacement(params.omega, big_omega, mass, params.g, times, z0)
+    if not np.isfinite(d).all():
         raise NumericalError("evolved center is not finite: the flow overflows")
-    closed = np.exp(-0.5 * np.sum(d * d, axis=-1))
+    f = np.exp(-0.5 * np.sum(d * d, axis=-1))
+    if is_ho_unit:
+        f0, paper = f
+        d, closed = (d[1], paper) if form == "paper" else (d[0], f0)
+    else:
+        closed, paper = f, None
     # sqrt(W_0 W_t) on W_0's unit rule, relative to c0: per axis k,
     # s_k = sum_i w_i exp(x_i^2/2 - (d_k - x_i)^2/2) / sqrt(pi), summed over the
     # nodes for all taus at once; this form of the exponent stays finite at any finite d
     s = sum(w * np.exp(0.5 * x * x - 0.5 * (d - x) ** 2) for x, w in zip(rule.nodes, rule.weights))
     # any excess over 1 is rounding
     quad = np.minimum(np.prod(s / math.sqrt(math.pi), axis=-1) ** 2, 1.0)
-    paper = None if d_p is None else closed if d_p is d else np.exp(-0.5 * np.sum(d_p * d_p, -1))
     return FidelityCurve(times=times, closed=closed, quad=quad, paper=paper,
                          abs_diff=np.abs(closed - quad))
 

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wigsim.dynamics import _quadratic_map, evolve, flow_map
+from wigsim.dynamics import _displacement, evolve, flow_map
 from wigsim.model import PhasePoint, SystemKind, SystemParams
 
 from oracles import (
     canonical_rhs,
+    flow_generator_mp,
     flow_jacobian,
     hamiltonian_rhs,
     hamiltonian_value,
@@ -346,9 +347,53 @@ def test_quadratic_map_position_momentum_entry_against_mpmath():
     times = rng.uniform(-1e3, 1e3, n) * 10.0 ** -rng.integers(0, 8, n)
     with mpmath.workdps(30):
         for big_omega, mass, t in zip(big_omegas.tolist(), masses.tolist(), times.tolist()):
-            got = _quadratic_map(0.0, big_omega, mass, t)[0, 2]
+            params = (SystemParams(kind=SystemKind.HO_FIELD, mass=mass, omega0=big_omega)
+                      if big_omega else SystemParams(kind=SystemKind.FREE_FIELD, mass=mass))
+            got = flow_map(params, t)[0][..., 0, 2]
             if big_omega:
                 want = mpmath.sin(mpmath.mpf(big_omega) * t) / (mpmath.mpf(mass) * big_omega)
             else:
                 want = mpmath.mpf(t) / mass
             assert abs(got - want) <= 4 * 2.0 ** -52 * abs(t) / mass
+
+
+def test_displacement_against_mpmath_expm():
+    # d = z(t) - z0 of ho, free and gqw-b (each also at b0 = 0) and of the printed unit-weight
+    # family, against expm of the canonical generator at 40 digits: the rounding of the
+    # phases big_omega t and omega t, and of z0 and d themselves, sets the scale
+    import mpmath
+    rng = np.random.default_rng(31)
+    kinds = ["ho", "free", "gqw-b", "unit"]
+    for i in range(240):
+        kind = kinds[i % 4]
+        mass = 1.0 if kind == "unit" else float(rng.uniform(0.2, 5.0))
+        b0 = 0.0 if i % 8 < 4 else float(rng.uniform(0.0, 3.0))
+        omega0 = float(rng.uniform(0.0, 3.0)) if kind == "ho" else 0.0
+        g = float(rng.uniform(0.0, 5.0)) if kind == "gqw-b" else 0.0
+        t = float(rng.uniform(-50.0, 50.0))
+        z0 = rng.uniform(-1.0, 1.0, 4) * 10.0 ** rng.uniform(-1.0, 5.0)
+        omega = b0 / (2.0 * mass)
+        big_omega = 1.0 if kind == "unit" else math.hypot(omega, omega0)
+        got = _displacement(omega, big_omega, mass, g, t, z0)
+        with mpmath.workdps(40):
+            gen = flow_generator_mp(mass, 1.0, b0, omega0, g, unit_weights=kind == "unit")
+            z = mpmath.matrix([mpmath.mpf(v) for v in z0.tolist()] + [1])
+            zt = mpmath.expm(gen * mpmath.mpf(t)) * z
+            want = [zt[k] - z[k] for k in range(4)]
+        err = max(abs(mpmath.mpf(float(got[k])) - want[k]) for k in range(4))
+        size = max(1.0, np.abs(z0).max(), np.abs(got).max())
+        assert err <= 4 * 2.0 ** -52 * (1 + abs(big_omega * t) + abs(omega * t)) * size, (kind, i)
+
+
+def test_far_point_keeps_each_displacement_digit():
+    # at |big_omega t| ~ 1e-6 the diagonal cos(big_omega t) cos(omega t) - 1 is ~ -6e-13:
+    # formed as that difference it keeps 3 or 4 digits, so d_x of x0 = 1e8 would too
+    import mpmath
+    params = ho_params(b0=0.5)
+    z0 = np.array([1e8, 0.0, 0.0, 0.0])
+    got = _displacement(params.omega, params.big_omega, params.mass, 0.0, 1e-6, z0)
+    with mpmath.workdps(40):
+        gen = flow_generator_mp(1.0, 1.0, 0.5, 1.0, 0.0)
+        zt = mpmath.expm(gen * mpmath.mpf(1e-6)) * mpmath.matrix(z0.tolist() + [1])
+        want = [float(zt[k] - z0[k]) for k in range(4)]
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))

@@ -133,6 +133,18 @@ class TestPaperForm:
         assert curve.paper is curve.closed
         assert fidelity_curve(p, C0, ts, order=4).paper.tolist() == curve.closed.tolist()
 
+    @pytest.mark.parametrize("b0", [0.1, 0.5, 1.0, 1.9])
+    def test_printed_family_is_the_trap_at_total_frequency_one(self, b0):
+        # the printed family holds big_omega at 1: it is the trap at omega0' = sqrt(1 - omega^2)
+        unit = SystemParams(kind=SystemKind.HO_FIELD, b0=b0, omega0=1.0)
+        trap = SystemParams(kind=SystemKind.HO_FIELD, b0=b0,
+                            omega0=math.sqrt(1.0 - unit.omega ** 2))
+        assert trap.big_omega == 1.0
+        ts = np.linspace(0.0, 40.0, 4001)
+        c0 = PhasePoint(0.3, -0.7, 1.1, 0.4)
+        assert np.array_equal(fidelity_curve(unit, c0, ts, order=1).paper,
+                              fidelity_curve(trap, c0, ts, order=1).closed)
+
     @pytest.mark.parametrize("form", ["consistent", "paper"])
     def test_far_centre_keeps_its_digits(self, form):
         # the printed exp[|c0|^2 (cos t cos omega t - 1) + ...] cancels in its bracket
@@ -242,13 +254,13 @@ class TestFidelityCurve:
     @pytest.mark.parametrize("form", ["consistent", "paper"])
     def test_far_center_rejected_before_the_flow(self, monkeypatch, form):
         # the flow's arrays scale with the times, so a c0 whose |c0|^2
-        # overflows must be refused before either form's map is built
+        # overflows must be refused before either form's flow is applied
         def no_flow(*args):
             raise AssertionError("the flow was built for an out-of-range initial point")
 
-        # every flow builds its M here, through either module's name for it
-        monkeypatch.setattr(dynamics, "_quadratic_map", no_flow)
-        monkeypatch.setattr(measures, "_quadratic_map", no_flow)
+        # every flow is applied here, through either module's name for it
+        monkeypatch.setattr(dynamics, "_displacement", no_flow)
+        monkeypatch.setattr(measures, "_displacement", no_flow)
         p = SystemParams(kind=SystemKind.HO_FIELD, b0=0.5, omega0=1.0)
         for c0 in (PhasePoint(1e300, 0.0, 0.0, 0.0), PhasePoint(0.0, 0.0, 0.0, -2.0 ** 510)):
             with pytest.raises(ValueError, match="below 2\\^510"):
