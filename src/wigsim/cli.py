@@ -48,8 +48,6 @@ _T_END_DEFAULT = 4.0 * math.pi
 _ROW_BUDGET = 10 ** 6
 # most entropy box nodes per axis (2048): a sector grid within the node budget
 _ENTROPY_ORDER_LIMIT = math.isqrt(quadrature._NODE_LIMIT)
-_KINDS = {"ho": SystemKind.HO_FIELD, "free": SystemKind.FREE_FIELD,
-          "gqw": SystemKind.GQW_BALLISTIC, "gqw-b": SystemKind.GQW_FIELD}
 
 
 class ConfigError(Exception):
@@ -109,9 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wigsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    systems = [kind.value for kind in SystemKind]
 
     p = sub.add_parser("fidelity", help="Gaussian fidelity F(tau) per field value")
-    p.add_argument("--system", choices=_KINDS, default="ho")
+    p.add_argument("--system", choices=systems, default="ho")
     p.add_argument("--b0", type=_float_list, default=_DEFAULT_B0, metavar="LIST",
                    help="comma-separated field strengths (default: %(default)s)")
     # the packets are unit-width and the flow is classical: no hbar
@@ -126,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("trajectory", help="closed-form phase-space trajectory samples")
-    p.add_argument("--system", choices=_KINDS, default="ho")
+    p.add_argument("--system", choices=systems, default="ho")
     p.add_argument("--b0", type=_float_list, default=_DEFAULT_B0, metavar="LIST")
     _add_physics_flags(p, hbar=False)
     _add_initial_flags(p)
@@ -146,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("spectrum", help="energy level tables")
-    p.add_argument("--system", choices=_KINDS, default="ho")
+    p.add_argument("--system", choices=systems, default="ho")
     p.add_argument("--b0", type=_float_list, default=_DEFAULT_B0, metavar="LIST",
                    help="field strengths of the ho and free tables; gqw and gqw-b take none")
     _add_physics_flags(p)
@@ -203,9 +202,7 @@ def _config_tokens(parser, ns) -> list:
 
 
 def _make_params(ns, b0: float) -> SystemParams:
-    if ns.system == "gqw" and b0 != 0:
-        raise ValueError("system gqw is field-free; use gqw-b for b0 > 0")
-    return SystemParams(kind=_KINDS[ns.system], mass=ns.mass, hbar=getattr(ns, "hbar", 1.0),
+    return SystemParams(kind=SystemKind(ns.system), mass=ns.mass, hbar=getattr(ns, "hbar", 1.0),
                         charge=ns.charge, b0=b0, omega0=ns.omega0, g=getattr(ns, "gravity", 0.0))
 
 
@@ -285,7 +282,7 @@ def _run_entropy(ns):
     convention = measures.EntropyConvention(ns.entropy_convention)
     systems = ["ho", "free"] if ns.system == "both" else [ns.system]
     _check_rows(len(ns.b0) * len(systems))
-    params = [SystemParams(kind=_KINDS[name], mass=ns.mass, hbar=ns.hbar, charge=ns.charge,
+    params = [SystemParams(kind=SystemKind(name), mass=ns.mass, hbar=ns.hbar, charge=ns.charge,
                            b0=b0, omega0=ns.omega0 if name == "ho" else 0.0)
               for name in systems for b0 in ns.b0]
     values = measures.entropy_vs_field(params, box_half_width=ns.box_half_width,

@@ -97,7 +97,7 @@ def fidelity_curve(params: SystemParams, c0: PhasePoint, times, order: int = 32,
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if form not in ("consistent", "paper"):
         raise ValueError("form must be 'consistent' or 'paper'")
-    is_ho_unit = params.kind is SystemKind.HO_FIELD and params.omega0 == 1.0
+    is_ho_unit = params.omega0 == 1.0    # only the trapped system has omega0 > 0
     if form == "paper" and not is_ho_unit:
         raise ValueError("the printed fidelity family assumes the trapped system with omega0 = 1")
     # below 2^510 per coordinate, |c0|^2 is finite; checked before any flow

@@ -33,12 +33,17 @@ class NumericalError(RuntimeError):
 
 
 class SystemKind(enum.Enum):
-    """The four closed-form systems."""
+    """The four closed-form systems, valued by their --system names."""
 
-    HO_FIELD = "ho_field"
-    FREE_FIELD = "free_field"
-    GQW_BALLISTIC = "gqw_ballistic"
-    GQW_FIELD = "gqw_field"
+    HO_FIELD = "ho"
+    FREE_FIELD = "free"
+    GQW_BALLISTIC = "gqw"
+    GQW_FIELD = "gqw-b"
+
+
+# the parameters each system holds at 0
+_HELD_AT_ZERO = {SystemKind.HO_FIELD: ("g",), SystemKind.FREE_FIELD: ("omega0", "g"),
+                 SystemKind.GQW_BALLISTIC: ("omega0", "b0"), SystemKind.GQW_FIELD: ("omega0",)}
 
 
 class PhasePoint(NamedTuple):
@@ -65,10 +70,11 @@ class SystemParams:
 
     The rotation frequency omega = q B0 / (2 m) is taken nonnegative, so the
     product q * b0 must not be negative; flipping the field direction is not
-    modeled separately.  Kind-specific constraints keep the parameters
-    consistent with the corresponding closed-form flow: the free particle has
-    no trap and no gravity, the gravitational systems have no trap, the
-    trapped system has no gravity, and the ballistic system has no field.
+    modeled separately.  Each kind holds some parameters at 0, checked here
+    alone: the free particle has no trap and no gravity, the gravitational
+    systems have no trap, and the ballistic system has no field; these rules
+    only name the systems.  That the trapped system has no gravity is a limit
+    of the flow, whose gravity drift assumes no trap.
     """
 
     kind: SystemKind
@@ -94,15 +100,9 @@ class SystemParams:
             raise ValueError("g must be nonnegative and finite")
         if self.charge * self.b0 < 0:
             raise ValueError("q * b0 must be nonnegative (omega >= 0 convention)")
-        kind = self.kind
-        if kind is SystemKind.HO_FIELD and self.g != 0:
-            raise ValueError("trapped system carries no gravity (g must be 0)")
-        if kind is SystemKind.FREE_FIELD and (self.omega0 != 0 or self.g != 0):
-            raise ValueError("free system requires omega0 = 0 and g = 0")
-        if kind in (SystemKind.GQW_BALLISTIC, SystemKind.GQW_FIELD) and self.omega0 != 0:
-            raise ValueError("gravitational systems have no trap (omega0 must be 0)")
-        if kind is SystemKind.GQW_BALLISTIC and self.b0 != 0:
-            raise ValueError("ballistic gravitational system has no field (b0 must be 0)")
+        for name in _HELD_AT_ZERO[self.kind]:
+            if getattr(self, name) != 0:
+                raise ValueError(f"system {self.kind.value} requires {name} = 0")
         try:
             derived = (self.omega, self.lam, self.kappa, self.big_omega)
         except OverflowError:

@@ -99,10 +99,12 @@ def _checked_index(n, low: int, what: str, *, scalar: bool = True, high: float =
     a bool), 0-d if scalar, every entry in [low, high].  Returns an int if scalar,
     else an integer array; raises ValueError(what) otherwise."""
     idx = np.asarray(n)
-    if (idx.dtype.kind not in "iu" or (scalar and idx.ndim)
-            or np.any(idx < low) or np.any(idx > high)):
+    if idx.dtype.kind not in "iu" or (scalar and idx.ndim):
         raise ValueError(what)
-    return int(idx) if scalar else idx
+    idx = int(idx) if scalar else idx    # a scalar compares as the int it returns
+    if not (low <= idx <= high if scalar else np.all(idx >= low) and np.all(idx <= high)):
+        raise ValueError(what)
+    return idx
 
 
 def laguerre(n: int, x):

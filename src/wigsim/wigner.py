@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import quadrature
-from .model import NumericalError, PhasePoint, SystemKind, SystemParams
+from .model import NumericalError, PhasePoint, SystemParams
 from .specfun import _checked_index, _unwrap_scalar, airy_ai, airy_zero, laguerre
 
 __all__ = [
@@ -247,10 +247,6 @@ class GQWState(ProductState):
     def __init__(self, n_y: int, params: SystemParams, x_center=(0.0, 0.0),
                  y_max: float | None = None):
         self.n_y = _checked_index(n_y, 1, _GQW_LEVEL)
-        if params.kind not in (SystemKind.GQW_BALLISTIC, SystemKind.GQW_FIELD):
-            raise ValueError("GQWState requires a gravitational system")
-        if not params.g > 0:
-            raise ValueError("GQWState requires g > 0")
         self.params = params
         m, g = params.mass, params.g
         self.energy = gqw_energy(n_y, params)

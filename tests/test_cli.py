@@ -106,11 +106,18 @@ def test_gqw_b_weak_field_keeps_the_drop(capsys, b0):
             assert float(row[col]) == pytest.approx(float(want[col]), abs=1e-9)
 
 
-def test_gqw_with_field_rejected(capsys):
-    code, out, err = run_cli(
-        capsys, "trajectory", "--system", "gqw", "--b0", "0.5", "--t-steps", "2")
-    assert code == 2
-    assert "E_RANGE" in err
+@pytest.mark.parametrize("system, flag, value, held", [
+    ("gqw", "--b0", "0.5", "b0"),
+    ("ho", "--gravity", "2", "g"),
+    ("free", "--omega0", "0.5", "omega0"),
+    ("gqw-b", "--omega0", "0.5", "omega0"),
+], ids=["gqw-b0", "ho-gravity", "free-omega0", "gqw-b-omega0"])
+def test_gqw_with_field_rejected(capsys, system, flag, value, held):
+    # each kind rule is checked by the model alone, which names the --system value
+    code, out, err = run_cli(capsys, "trajectory", "--system", system, flag, value,
+                             "--t-steps", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: E_RANGE: system {system} requires {held} = 0\n"
 
 
 def test_byte_identical_reruns(capsys):

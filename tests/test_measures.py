@@ -413,8 +413,8 @@ class TestEntropyVsField:
         assert got == pytest.approx(shannon_entropy(state, box), rel=1e-12)
 
     def test_gravitational_kind_rejected(self):
-        with pytest.raises(ValueError):
-            entropy_vs_field([SystemParams(kind=SystemKind.GQW_BALLISTIC, b0=0.1)])
+        with pytest.raises(ValueError, match="trapped and free"):
+            entropy_vs_field([SystemParams(kind=SystemKind.GQW_FIELD, b0=0.1, g=2.0)])
 
     def test_non_integer_node_count_rejected(self):
         # 41.9 nodes per axis is not read as 41

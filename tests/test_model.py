@@ -68,15 +68,16 @@ def test_negative_charge_times_field_rejected():
 
 
 def test_kind_constraints():
-    with pytest.raises(ValueError):
+    # each message names the system by its --system value
+    with pytest.raises(ValueError, match="^system ho requires g = 0$"):
         SystemParams(kind=SystemKind.HO_FIELD, omega0=1.0, g=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^system free requires omega0 = 0$"):
         SystemParams(kind=SystemKind.FREE_FIELD, omega0=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^system free requires g = 0$"):
         SystemParams(kind=SystemKind.FREE_FIELD, g=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^system gqw-b requires omega0 = 0$"):
         SystemParams(kind=SystemKind.GQW_FIELD, b0=0.5, g=2.0, omega0=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^system gqw requires b0 = 0$"):
         SystemParams(kind=SystemKind.GQW_BALLISTIC, b0=0.5, g=2.0)
 
 

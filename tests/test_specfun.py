@@ -301,6 +301,7 @@ class TestGaussHermite:
 
     def test_rule_is_built_once_per_order(self):
         assert gauss_hermite(12) is gauss_hermite(np.int64(12))
+        assert gauss_hermite(np.array(12)) is gauss_hermite(12)
 
     def test_shared_rule_is_read_only(self):
         rule = gauss_hermite(7)

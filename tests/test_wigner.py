@@ -377,10 +377,11 @@ class TestGQW:
         for n in (1.5, np.array([1.0, 2.0]), True):
             with pytest.raises(ValueError, match="gravitational level index must be an integer"):
                 gqw_energy(n, gqw_params())
-        with pytest.raises(ValueError):
-            GQWState(1, SystemParams(kind=SystemKind.GQW_BALLISTIC, g=0.0))
-        with pytest.raises(ValueError):
-            GQWState(1, landau_params())
+        # a system without gravity, a trap or a free charge too, has no gravitational level
+        for params in (SystemParams(kind=SystemKind.GQW_BALLISTIC, g=0.0), landau_params(),
+                       SystemParams(kind=SystemKind.HO_FIELD, omega0=1.0)):
+            with pytest.raises(ValueError, match="requires g > 0"):
+                GQWState(1, params)
 
 
 class TestSectors:
