@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from wigsim import wigner
 from wigsim.dynamics import evolve
-from wigsim.model import NumericalError, PhasePoint, SystemKind, SystemParams
+from wigsim.model import PhasePoint, SystemKind, SystemParams
 from wigsim.quadrature import box_scheme, hermite_scheme, integrate
 from wigsim.specfun import airy_ai
 from wigsim.wigner import (
@@ -239,23 +240,33 @@ class TestGQW:
         assert 1.0 / integrate(absval, 2, fine) == pytest.approx(state.norm, rel=1e-5)
 
     @pytest.mark.parametrize("g", [0.7, 2.0, 3.9])
-    @pytest.mark.parametrize("n_y", [1, 3, 6])
+    @pytest.mark.parametrize("n_y", [1, 3, 6, 12])
     def test_norm_matches_two_pass_oracle(self, n_y, g):
-        # the earlier route: integrate the box, then the box doubled in y at
-        # the same spacing, and compare the two masses
-        state = GQWState(n_y, gqw_params(g))
-        m = state.params.mass
+        # the earlier route: integrate the box, then the tail box
+        # [y_max, 2 y_max] at the same spacing, and compare the two masses.
+        # Both boxes are uniform in alpha m g y and py / p_cut, so the tail's
+        # share depends on n alone: the same at every (m, g, hbar), <= 1e-6
+        def masses(state):
+            m, mg = state.params.mass, state.params.mass * state.params.g
 
-        def absval(y, py):
-            xi = py ** 2 / (2.0 * m) + m * g * y
-            return np.abs(airy_ai(state.alpha * (xi - state.energy)))
+            def absval(y, py):
+                xi = py ** 2 / (2.0 * m) + mg * y
+                return np.abs(airy_ai(state.alpha * (xi - state.energy)))
 
-        p_bounds = (-state.p_cut, state.p_cut)
-        total = integrate(absval, 2, box_scheme((256, 256), [(0.0, state.y_max), p_bounds]))
-        doubled = integrate(absval, 2, box_scheme((512, 256), [(0.0, 2 * state.y_max), p_bounds]))
-        assert abs(doubled - total) <= 1e-6 * total
-        assert state.norm == pytest.approx(1.0 / total, rel=1e-12)
-        assert normalize_gqw(state) == pytest.approx(1.0 / total, rel=1e-12)
+            p_bounds = (-state.p_cut, state.p_cut)
+            return [integrate(absval, 2, box_scheme((256, 256), [y_bounds, p_bounds]))
+                    for y_bounds in ((0.0, state.y_max), (state.y_max, 2 * state.y_max))]
+
+        total, tail = masses(GQWState(n_y, gqw_params()))
+        unit_share = tail / total
+        assert unit_share <= 1e-6
+        for mass, hbar in ((1.0, 1.0), (0.3, 2.5), (4.0, 0.2)):
+            state = GQWState(n_y, SystemParams(kind=SystemKind.GQW_BALLISTIC, mass=mass, g=g,
+                                               hbar=hbar))
+            total, tail = masses(state)
+            assert tail / total == pytest.approx(unit_share, rel=1e-12)
+            assert state.norm == pytest.approx(1.0 / total, rel=1e-12)
+            assert normalize_gqw(state) == pytest.approx(1.0 / total, rel=1e-12)
 
     @pytest.mark.parametrize("g, hbar", [(1e-300, 1.0), (2.0, 1e-300), (1e-200, 1e-150),
                                          (1e200, 1.0)])
@@ -280,6 +291,38 @@ class TestGQW:
         want = mpmath.cbrt(8 / (mpmath.mpf(g) ** 2 * mpmath.mpf(hbar) ** 2))
         assert abs(state.alpha - want) <= 1e-12 * want
         assert state.norm * hbar == pytest.approx(GQWState(1, gqw_params()).norm, rel=1e-12)
+
+    @pytest.mark.parametrize("mass, g, hbar", [
+        (1e-300, 1e50, 1e150), (1e-300, 1e150, 1e50), (1e-300, 1e150, 1e150),
+        (1e-300, 1e300, 1e-50), (1e-300, 1e300, 1.0), (1e-300, 1e300, 1e50),
+        (1e-300, 1e300, 1e150), (1e-300, 1e300, 1e300), (1e-150, 1e50, 1e300),
+        (1e-150, 1e150, 1e300), (1e-150, 1e300, 1e50), (1e-150, 1e300, 1e150),
+        (1e-50, 1e150, 1e300), (1e-50, 1e300, 1e150),
+    ])
+    def test_state_where_the_airy_width_underflows(self, mass, g, hbar):
+        # 1 / (alpha m g), the Airy width in y, overflows here (alpha m g
+        # underflows to 0); the domain is fixed in Airy units, so the state
+        # builds with the unit-scale norm * hbar all the same
+        state = GQWState(1, SystemParams(kind=SystemKind.GQW_BALLISTIC, mass=mass, g=g,
+                                         hbar=hbar))
+        assert state.norm * hbar == pytest.approx(GQWState(1, gqw_params()).norm, rel=1e-12)
+
+    @pytest.mark.parametrize("mass, g, hbar", [
+        (1e-300, 1.0, 1e300), (1e-300, 1e50, 1e300), (1e-300, 1e150, 1e300),
+        (1e-150, 1e-150, 1e300),
+    ])
+    def test_domain_beyond_float_range(self, mass, g, hbar):
+        # the same underflowing Airy width, where y_max or p_cut is not finite
+        p = SystemParams(kind=SystemKind.GQW_BALLISTIC, mass=mass, g=g, hbar=hbar)
+        with pytest.raises(ValueError, match="box bounds"):
+            GQWState(1, p)
+
+    @pytest.mark.parametrize("mass, g", [(1e-300, 1e-50), (1e-150, 1e-300), (1e-300, 1e-300)])
+    def test_mass_times_gravity_underflow(self, mass, g):
+        # y_max = 3 E / (m g) has no scale when m g underflows
+        p = SystemParams(kind=SystemKind.GQW_BALLISTIC, mass=mass, g=g)
+        with pytest.raises(ValueError, match="m g underflows"):
+            GQWState(1, p)
 
     @pytest.mark.parametrize("mass, g, hbar", [
         (1e-300, 1e-300, 1e-300),   # the scale underflows
@@ -339,14 +382,11 @@ class TestGQW:
                 state.sector_y.value(y0, py0), rel=1e-10, abs=1e-11)
         assert kept > 50
 
-    def test_x_sector_recentering(self):
+    def test_x_sector_is_the_unit_gaussian(self):
+        # the x factor is the unit Gaussian at the origin
         state = GQWState(1, gqw_params())
-        moved = GQWState(1, gqw_params(), x_center=(1.5, -0.4))
-        assert moved.norm == state.norm
-        assert moved.energy == state.energy
-        assert moved.sector_x.value(1.5, -0.4) == pytest.approx(1.0 / math.pi, rel=1e-12)
-        assert moved.sector_y.value(1.0, 0.5) == pytest.approx(
-            state.sector_y.value(1.0, 0.5), rel=1e-12)
+        pts = np.random.default_rng(17).uniform(-2.0, 2.0, (2, 50))
+        assert np.array_equal(state.sector_x.value(*pts), Gaussian2D().value(*pts))
 
     def test_domain_enforced(self):
         state = GQWState(1, gqw_params())
@@ -354,18 +394,6 @@ class TestGQW:
             state.sector_y.value(-0.1, 0.0)
         with pytest.raises(ValueError):
             state.sector_y.value(state.y_max + 0.1, 0.0)
-
-    def test_truncation_rejected(self):
-        p = gqw_params()
-        state = GQWState(1, p)
-        turning = state.energy / (p.mass * p.g)
-        width = 1.0 / (state.alpha * p.mass * p.g)
-        # below the declared floor the constructor refuses outright
-        with pytest.raises(ValueError):
-            GQWState(1, p, y_max=turning + 4.0 * width)
-        # just above the floor the mass check catches the unconverged tail
-        with pytest.raises(NumericalError, match="has not converged"):
-            GQWState(1, p, y_max=turning + 5.05 * width)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -394,7 +422,7 @@ class TestSectors:
                                                      hbar=0.6, b0=0.8, omega0=1.3)),
         lambda: LandauState(0, SystemParams(kind=SystemKind.FREE_FIELD, mass=1.7, hbar=0.6,
                                             charge=2.3, b0=0.5)),
-        lambda: GQWState(1, gqw_params(), x_center=(0.4, -0.2)),
+        lambda: GQWState(1, gqw_params()),
     ], ids=["gaussian", "trap", "landau", "gqw"])
     def test_product_is_the_state(self, make):
         state = make()
@@ -456,6 +484,64 @@ class TestStarGen:
     def test_wrong_energy_breaks_identity(self):
         state = GQWState(1, gqw_params())
         assert stargen_residual(state, state.energy, energy=state.energy + 0.1) > 1e-3
+
+    def test_residual_without_hbar_squared(self):
+        # hbar^2 = 1e320 overflows, yet alpha = 2 and alpha h = 1e-3 as at g = hbar = 1
+        unit = GQWState(1, SystemParams(kind=SystemKind.GQW_BALLISTIC, g=1.0))
+        far = GQWState(1, SystemParams(kind=SystemKind.GQW_BALLISTIC, g=1e-160, hbar=1e160))
+        assert far.alpha == pytest.approx(unit.alpha, rel=1e-14)
+        for frac in (0.5, 1.0, 1.3):
+            # both are a 4e-8 truncation error, with rounding noise ~1e-10
+            # divided by (alpha h)^2 on top
+            got = stargen_residual(far, frac * far.energy)
+            assert got == pytest.approx(stargen_residual(unit, frac * unit.energy), rel=1e-2)
+            assert got <= 1e-6
+
+    @pytest.mark.parametrize("g, hbar, h", [
+        (1e-100, 1.0, 5e-4),       # alpha h = 4.6e63: the step spans many Airy widths
+        (1e-200, 1e-150, 5e-4),    # alpha h = 1e230: the residual was nan
+        (1e300, 1.0, 5e-4),        # alpha h = 1e-203: the difference is rounding noise
+        (2.0, 1.0, 5e-5),          # alpha h = 6.3e-5
+        (2.0, 1.0, 0.1),           # alpha h = 0.126
+        (2.0, 1.0, 0.0),
+        (2.0, 1.0, math.nan),
+    ])
+    def test_step_outside_window_rejected(self, g, hbar, h):
+        state = GQWState(1, SystemParams(kind=SystemKind.GQW_BALLISTIC, g=g, hbar=hbar))
+        with pytest.raises(ValueError, match="alpha h"):
+            stargen_residual(state, state.energy, h=h)
+
+    @pytest.mark.parametrize("g", [0.5, 4.0])
+    def test_default_step_inside_window_over_benchmark_gravities(self, g):
+        # the gravity-tables levels job draws g from [0.5, 4]: alpha h from 4.0e-4 to 1.6e-3
+        state = GQWState(1, gqw_params(g))
+        assert 3.9e-4 <= state.alpha * 5e-4 <= 1.6e-3
+        assert stargen_residual(state, state.energy) <= 1e-6
+
+    def test_peak_is_norm_times_ai_at_first_critical_point(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        a1 = mpmath.airyaizero(1, derivative=1)
+        peak = mpmath.airyai(a1)
+        assert abs(wigner._AI_PEAK - peak) <= 1e-15 * peak
+        for n in range(1, 13):
+            state = GQWState(n, gqw_params())
+            # a'_1 lies in the domain's Airy range [-alpha E, 12], so the
+            # peak of |W_y| is reached there
+            assert -state.alpha * state.energy < a1 < 12.0
+            w_peak = state.sector_y.value_xi(state.energy + float(a1) / state.alpha)
+            assert w_peak == pytest.approx(state.norm * float(peak), rel=1e-10)
+            # the residual divides by that peak: two wrong energies differ
+            # by (e2 - e1) W_y(xi) / peak
+            xi = state.energy + float(a1) / state.alpha
+            e1, e2 = state.energy - 2.0, state.energy - 1.0
+            got = (stargen_residual(state, xi, energy=e1)
+                   - stargen_residual(state, xi, energy=e2))
+            assert got == pytest.approx(w_peak / (state.norm * float(peak)), rel=1e-12)
+            # the 2001-point scan it replaces fell short by up to 3.2e-5
+            # (n = 10), by 1.6e-8 at n = 3
+            scan = np.max(np.abs(state.sector_y.value_xi(np.linspace(0.0, state.xi_max, 2001))))
+            assert 0.0 <= 1.0 - scan / (state.norm * float(peak)) < 3.2e-5
 
     def test_field_variant_same_y_sector(self):
         # the y sector is set by (m, g, hbar); the field only moves the x part
